@@ -236,6 +236,10 @@ pub struct BatchScheduler<T = i64> {
     quarantine: Vec<Option<LaneFault>>,
     /// Max row-tiles per scheduler visit; 0 = whole-GeMM quantum.
     slice_quantum: usize,
+    /// Per-run trace cursors and live-lane list, kept so a warm `run`
+    /// reuses their capacity instead of allocating.
+    cursors: Vec<usize>,
+    live: Vec<usize>,
 }
 
 impl<T: Element> BatchScheduler<T> {
@@ -272,6 +276,8 @@ impl<T: Element> BatchScheduler<T> {
             sched_stats: SchedulerStats::default(),
             quarantine: Vec::new(),
             slice_quantum: 0,
+            cursors: Vec::new(),
+            live: Vec::new(),
         }
     }
 
@@ -482,19 +488,18 @@ impl<T: Element> BatchScheduler<T> {
         F: FnMut(usize, usize, &OutputMatrix<T>),
     {
         self.ensure_lanes(traces.len());
-        let mut cursors = vec![0usize; traces.len()];
+        let mut cursors = std::mem::take(&mut self.cursors);
+        cursors.clear();
+        cursors.resize(traces.len(), 0);
         // Lanes with steps remaining, in lane order. Exhausted lanes are
         // removed so no policy ever re-scans them.
-        let mut live: Vec<usize> = (0..traces.len())
-            .filter(|&i| !traces[i].as_ref().is_empty() && self.quarantine[i].is_none())
-            .collect();
-        self.sched_stats = SchedulerStats {
-            lane_steps: vec![0; traces.len()],
-            lane_row_tiles: vec![0; traces.len()],
-            credit_balances: vec![0; traces.len()],
-            completion_steps: vec![0; traces.len()],
-            ..SchedulerStats::default()
-        };
+        let mut live = std::mem::take(&mut self.live);
+        live.clear();
+        live.extend(
+            (0..traces.len())
+                .filter(|&i| !traces[i].as_ref().is_empty() && self.quarantine[i].is_none()),
+        );
+        self.reset_sched_stats(traces.len());
         let mut state = PolicyState::new(&self.policy, traces.len());
         // Global executed-step clock (1-based after the first step), the
         // unit deadlines are expressed in.
@@ -554,7 +559,37 @@ impl<T: Element> BatchScheduler<T> {
         if let PolicyState::Weighted { credits, .. } = state {
             self.sched_stats.credit_balances = credits;
         }
+        self.cursors = cursors;
+        self.live = live;
         self.settle_fault_counters();
+    }
+
+    /// Zeroes the scheduling record for a run over `lanes` lanes, reusing
+    /// the per-lane vectors' capacity.
+    fn reset_sched_stats(&mut self, lanes: usize) {
+        let SchedulerStats {
+            mut lane_steps,
+            mut lane_row_tiles,
+            mut credit_balances,
+            mut completion_steps,
+            ..
+        } = std::mem::take(&mut self.sched_stats);
+        for v in [
+            &mut lane_steps,
+            &mut lane_row_tiles,
+            &mut credit_balances,
+            &mut completion_steps,
+        ] {
+            v.clear();
+            v.resize(lanes, 0);
+        }
+        self.sched_stats = SchedulerStats {
+            lane_steps,
+            lane_row_tiles,
+            credit_balances,
+            completion_steps,
+            ..SchedulerStats::default()
+        };
     }
 
     /// Fills the fault counters of [`BatchScheduler::scheduler_stats`] at

@@ -11,6 +11,10 @@
 //! * **lane panic** — panic when lane `L` executes trace-local step `N`
 //!   (hooked in [`BatchScheduler`](super::BatchScheduler)'s step dispatch,
 //!   inside the `catch_unwind` isolation region);
+//! * **row-tile panic** — panic in the `N`th row-tile any session
+//!   executes, on whichever pool thread runs it (hooked in the session's
+//!   row-tile body, so it exercises the worker pool's panic propagation
+//!   into the scheduler's `catch_unwind`);
 //! * **shard panic** — panic on the `N`th shared-cache insert offer
 //!   *while the shard mutex is held*, leaving the mutex poisoned (hooked
 //!   in [`SharedPlanCache`](super::SharedPlanCache)'s insert path);
@@ -49,6 +53,9 @@ pub struct FaultPlan {
     /// executed. 0 (the default, and the only sensible value for
     /// whole-GeMM dispatch) fires on the first visit.
     pub lane_panic_visit: u64,
+    /// Panic in the `n`th (0-based) row-tile executed under this plan,
+    /// counted across sessions and pool threads.
+    pub row_tile_panic: Option<u64>,
     /// Panic under the shard lock on the `n`th (0-based) shared-cache
     /// insert offer, poisoning that shard's mutex.
     pub shard_panic: Option<u64>,
@@ -126,6 +133,14 @@ impl FaultPlan {
         }
     }
 
+    /// Plan with only a panic in the `n`th executed row-tile.
+    pub fn row_tile_panic(nth_row_tile: u64) -> Self {
+        Self {
+            row_tile_panic: Some(nth_row_tile),
+            ..Self::default()
+        }
+    }
+
     /// Plan with only a panic under the shard lock on the `n`th insert.
     pub fn shard_panic(nth_insert: u64) -> Self {
         Self {
@@ -189,6 +204,8 @@ impl FaultPlan {
 pub struct FiredReport {
     /// The lane panic fired.
     pub lane_panic: bool,
+    /// The row-tile panic fired.
+    pub row_tile_panic: bool,
     /// The under-shard-lock panic fired.
     pub shard_panic: bool,
     /// A stored snapshot byte was corrupted.
@@ -209,7 +226,9 @@ struct FaultState {
     /// Scheduler visits of the lane panic's exact `(lane, step)` target
     /// (the `lane_panic_visit` trigger consumes this).
     lane_visits: AtomicU64,
+    row_tiles: AtomicU64,
     lane_fired: AtomicBool,
+    row_tile_fired: AtomicBool,
     shard_fired: AtomicBool,
     corrupt_fired: AtomicBool,
     io_fired: AtomicBool,
@@ -230,7 +249,9 @@ pub fn install(plan: FaultPlan) -> FaultGuard {
         io_ops: AtomicU64::new(0),
         inserts: AtomicU64::new(0),
         lane_visits: AtomicU64::new(0),
+        row_tiles: AtomicU64::new(0),
         lane_fired: AtomicBool::new(false),
+        row_tile_fired: AtomicBool::new(false),
         shard_fired: AtomicBool::new(false),
         corrupt_fired: AtomicBool::new(false),
         io_fired: AtomicBool::new(false),
@@ -285,6 +306,7 @@ impl FaultGuard {
             .as_ref()
             .map(|s| FiredReport {
                 lane_panic: s.lane_fired.load(Ordering::SeqCst),
+                row_tile_panic: s.row_tile_fired.load(Ordering::SeqCst),
                 shard_panic: s.shard_fired.load(Ordering::SeqCst),
                 corrupt_snapshot: s.corrupt_fired.load(Ordering::SeqCst),
                 fail_io: s.io_fired.load(Ordering::SeqCst),
@@ -344,6 +366,20 @@ pub(crate) fn maybe_panic_lane(lane: usize, step: usize) {
             }
         }
     });
+}
+
+/// Hook: panic if this is the plan's `n`th executed row-tile. Takes the
+/// dispatching thread's [`snapshot`] because the row-tile may run on a
+/// pool worker, which has no plan installed.
+pub(crate) fn maybe_panic_row_tile(handle: Option<&FaultHandle>) {
+    if let Some(s) = handle.map(|h| &h.state) {
+        if let Some(n) = s.plan.row_tile_panic {
+            if s.row_tiles.fetch_add(1, Ordering::SeqCst) == n {
+                s.row_tile_fired.store(true, Ordering::SeqCst);
+                panic!("injected fault: row tile {n} panics");
+            }
+        }
+    }
 }
 
 /// Hook: panic on the plan's `n`th insert offer. Called while the shard

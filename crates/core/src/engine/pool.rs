@@ -1,7 +1,12 @@
-//! Recycled executor buffers shared across layers, calls, and worker
-//! threads.
+//! Recycled planner and executor buffers shared across layers, calls, and
+//! worker threads.
 
 use std::sync::Mutex;
+
+use crate::plan::PlanScratch;
+use spikemat::SpikeMatrix;
+
+use super::stats::EngineStats;
 
 /// Reusable executor buffers for one row-tile worker.
 #[derive(Debug)]
@@ -21,18 +26,87 @@ impl<T> Default for ExecScratch<T> {
     }
 }
 
+/// Reusable planner state for one row-group worker: the extracted tile,
+/// the planner scratch, and the counters its lookups and plans accrue
+/// until [`BufferPool::drain_plan_stats`] folds them into the session.
+#[derive(Debug, Default)]
+pub(crate) struct PlanWorker {
+    pub(crate) tile: SpikeMatrix,
+    pub(crate) scratch: PlanScratch,
+    pub(crate) stats: EngineStats,
+}
+
 /// Pool of recycled buffers shared across layers, calls, and worker threads.
 ///
-/// Holds the executor arenas (checked out per row-tile, including from rayon
-/// workers — hence the mutex, which is touched twice per row-tile and never
-/// inside the accumulation loops). The output and spike-chain buffers live
-/// directly on the [`Session`](super::Session).
+/// Holds the executor arenas (checked out per row-tile) and the planner
+/// workers (checked out per row group), both also from rayon workers —
+/// hence the mutexes, each touched twice per row-tile or row group and
+/// never inside the planning or accumulation loops. A fanned-out pass first
+/// tops the pool up to one working-size entry per pool thread
+/// ([`BufferPool::reserve_exec`], [`BufferPool::reserve_plan`]), so which
+/// thread claims which task never decides whether a buffer is created or
+/// grown mid-pass. The output and spike-chain buffers live directly on the
+/// [`Session`](super::Session).
 #[derive(Debug, Default)]
 pub(crate) struct BufferPool<T> {
     exec: Mutex<Vec<ExecScratch<T>>>,
+    plan: Mutex<Vec<PlanWorker>>,
+}
+
+#[cfg(feature = "parallel")]
+impl<T: Copy + Default> BufferPool<T> {
+    /// Ensures `workers` pooled executor scratches, each sized for
+    /// `tile_rows`-row tiles and `n` output columns.
+    pub(crate) fn reserve_exec(&self, workers: usize, tile_rows: usize, n: usize) {
+        let mut exec = self.exec.lock().expect("buffer pool poisoned");
+        let len = exec.len().max(workers);
+        exec.resize_with(len, ExecScratch::default);
+        for s in exec.iter_mut() {
+            if s.arena.len() < tile_rows * n {
+                s.arena.resize(tile_rows * n, T::default());
+            }
+            // Both are cleared and refilled per row-tile; only capacity counts.
+            for flags in [&mut s.parents, &mut s.simple] {
+                flags.clear();
+                flags.reserve(tile_rows);
+            }
+        }
+    }
+
+    /// Ensures `workers` pooled planner workers, each with an `m × k`
+    /// extraction tile.
+    pub(crate) fn reserve_plan(&self, workers: usize, m: usize, k: usize) {
+        let mut plan = self.plan.lock().expect("buffer pool poisoned");
+        let len = plan.len().max(workers);
+        plan.resize_with(len, PlanWorker::default);
+        for w in plan.iter_mut() {
+            if (w.tile.rows(), w.tile.cols()) != (m, k) {
+                w.tile = SpikeMatrix::zeros(m, k);
+            }
+        }
+    }
 }
 
 impl<T> BufferPool<T> {
+    pub(crate) fn take_plan(&self) -> PlanWorker {
+        self.plan
+            .lock()
+            .expect("buffer pool poisoned")
+            .pop()
+            .unwrap_or_default()
+    }
+
+    pub(crate) fn put_plan(&self, worker: PlanWorker) {
+        self.plan.lock().expect("buffer pool poisoned").push(worker);
+    }
+
+    /// Moves every pooled planner worker's counters into `into`.
+    pub(crate) fn drain_plan_stats(&self, into: &mut EngineStats) {
+        for worker in self.plan.lock().expect("buffer pool poisoned").iter_mut() {
+            into.merge(&std::mem::take(&mut worker.stats));
+        }
+    }
+
     pub(crate) fn take_exec(&self) -> ExecScratch<T> {
         self.exec
             .lock()
@@ -61,5 +135,19 @@ mod tests {
         pool.put_exec(s);
         let s2 = pool.take_exec();
         assert!(s2.arena.capacity() >= 64);
+    }
+
+    #[test]
+    fn planner_stats_drain_once() {
+        let pool: BufferPool<i64> = BufferPool::default();
+        let (mut a, mut b) = (pool.take_plan(), pool.take_plan());
+        a.stats.tiles = 3;
+        b.stats.cache_hits = 2;
+        pool.put_plan(a);
+        pool.put_plan(b);
+        let mut total = EngineStats::default();
+        pool.drain_plan_stats(&mut total);
+        pool.drain_plan_stats(&mut total);
+        assert_eq!((total.tiles, total.cache_hits), (3, 2));
     }
 }

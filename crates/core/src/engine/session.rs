@@ -1,17 +1,15 @@
 //! One serving session: plan cache handle, planner scratch, and pooled
 //! buffers that persist across GeMMs, layers, and timesteps.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
-#[cfg(feature = "parallel")]
-use crate::exec::execute_row_tile;
-use crate::exec::{execute_row_tiles, TileExec};
+use crate::exec::{execute_row_tile, TileExec};
 use crate::plan::{PlanScratch, TileMeta};
 use spikemat::gemm::{OutputMatrix, WeightMatrix};
-use spikemat::SpikeMatrix;
+use spikemat::{SpikeMatrix, TileShape};
 
 use super::cache::{hash_tile, Admission, InsertOutcome, PlanCache};
-use super::pool::BufferPool;
+use super::pool::{BufferPool, ExecScratch, PlanWorker};
 use super::shared::SharedPlanCache;
 use super::snapshot::{ImportReport, PlanSnapshot, SnapshotEntry};
 use super::stats::EngineStats;
@@ -24,6 +22,20 @@ struct PlacedTile {
     meta: Arc<TileMeta>,
     col_start: usize,
     valid_rows: usize,
+}
+
+impl PlacedTile {
+    /// The filler that grows the placed-tile vector before a planning pass
+    /// overwrites every slot: one process-wide empty plan, so growing costs
+    /// reference-count bumps, not allocations.
+    fn unplanned() -> Self {
+        static EMPTY: OnceLock<Arc<TileMeta>> = OnceLock::new();
+        Self {
+            meta: Arc::clone(EMPTY.get_or_init(|| Arc::new(TileMeta::empty()))),
+            col_start: 0,
+            valid_rows: 0,
+        }
+    }
 }
 
 impl TileExec for PlacedTile {
@@ -73,6 +85,138 @@ enum CacheSlot {
     Private(PlanCache),
     /// A handle onto a concurrent cache shared with other sessions.
     Shared(Arc<SharedPlanCache>),
+}
+
+/// Whether a pass over `row_groups` is worth fanning out over the rayon
+/// pool: only when every pool thread gets at least two. Tasks are claimed
+/// dynamically, so a worker that wakes late (its core idle since the last
+/// burst) then costs the caller at most one task's wait. Split two ways,
+/// GeMMs of two row groups lost rather than gained: on a 2-core host they
+/// raised the open-loop benchmark's p90 latency by about a third.
+#[cfg(feature = "parallel")]
+fn worth_fanning_out(row_groups: usize) -> bool {
+    let threads = rayon::current_num_threads();
+    threads > 1 && row_groups >= 2 * threads
+}
+
+/// Smallest tile, in bits (`m · k`), whose planning is worth fanning out.
+/// Resolving a cached tile takes short locks on state the row groups share
+/// (the tile's shard, the tenant's admission window), and across cores
+/// their cache lines move with every lookup; only hashing and comparing a
+/// large enough tile outweighs that. Measured with a warm shared cache on
+/// a 2-core host: fanned-out planning ran at 0.6–0.7× the one-worker loop
+/// with 256-bit tiles, about 1.0× at 512, 1.1× at 1024 and 1.3–1.6× with
+/// the default 4096-bit tile. Execution has no shared state and gains at
+/// every size (1.3–1.8×), so it is not gated on this.
+#[cfg(feature = "parallel")]
+const MIN_FANNED_PLAN_TILE_BITS: usize = 2048;
+
+/// One planning pass's view of the session's cache backend.
+enum Planner<'a> {
+    /// The session-private LRU: it needs `&mut`, so it plans on one worker.
+    Private(&'a mut PlanCache),
+    /// Caching disabled or a shared cache: safe to copy onto every worker.
+    Concurrent(ConcurrentPlanner<'a>),
+}
+
+/// The thread-safe cache backends: none (`cache: None`, every tile is
+/// planned) or a shared cache with the session tenant's admission window.
+#[derive(Clone, Copy)]
+struct ConcurrentPlanner<'a> {
+    cache: Option<&'a SharedPlanCache>,
+    admission: Option<&'a Mutex<Admission>>,
+}
+
+impl Planner<'_> {
+    /// Resolves one extracted tile to a plan: cache hit, or plan-and-offer.
+    ///
+    /// Planning happens *outside* any lock (the shared cache takes its
+    /// shard lock only inside `lookup`/`insert`), so concurrent sessions
+    /// and row groups overlap their Detector/Pruner work; the offer
+    /// afterwards deduplicates racing planners (identical by construction —
+    /// planning is a pure function of the tile bits).
+    fn resolve(
+        &mut self,
+        tile: &SpikeMatrix,
+        scratch: &mut PlanScratch,
+        stats: &mut EngineStats,
+    ) -> Arc<TileMeta> {
+        let fresh = |scratch: &mut PlanScratch| {
+            let (meta, _) = TileMeta::build_with(tile, 0, 0, scratch);
+            Arc::new(meta)
+        };
+        match self {
+            Planner::Concurrent(ConcurrentPlanner { cache: None, .. }) => {
+                stats.cache_misses += 1;
+                fresh(scratch)
+            }
+            Planner::Private(cache) => {
+                let hash = hash_tile(tile);
+                if let Some((meta, restored)) = cache.lookup(hash, tile) {
+                    stats.cache_hits += 1;
+                    stats.restored_hits += u64::from(restored);
+                    return meta;
+                }
+                stats.cache_misses += 1;
+                let meta = fresh(scratch);
+                match cache.insert(hash, tile, Arc::clone(&meta)) {
+                    InsertOutcome::Inserted => {}
+                    InsertOutcome::Evicted => stats.cache_evictions += 1,
+                    InsertOutcome::Bypassed => stats.cache_bypasses += 1,
+                    InsertOutcome::Deduplicated => unreachable!("private cache never dedups"),
+                }
+                meta
+            }
+            Planner::Concurrent(ConcurrentPlanner {
+                cache: Some(shared),
+                admission,
+            }) => {
+                let hash = hash_tile(tile);
+                if let Some((meta, restored)) = shared.lookup(hash, tile, *admission) {
+                    stats.cache_hits += 1;
+                    stats.restored_hits += u64::from(restored);
+                    return meta;
+                }
+                stats.cache_misses += 1;
+                let (meta, outcome) = shared.insert(hash, tile, fresh(scratch), *admission);
+                match outcome {
+                    // Deduplicated: a racing session (or row group) won the
+                    // insert; the resident plan is used and no admission
+                    // bypass is recorded (none happened).
+                    InsertOutcome::Inserted | InsertOutcome::Deduplicated => {}
+                    InsertOutcome::Evicted => stats.cache_evictions += 1,
+                    InsertOutcome::Bypassed => stats.cache_bypasses += 1,
+                }
+                meta
+            }
+        }
+    }
+
+    /// Plans row group `ti` of `spikes`: extracts, hashes, looks up and on
+    /// a miss plans each of its tiles, writing them in place into `row`
+    /// (the group's `gk` slots). The one body both the one-worker loop and
+    /// the fanned-out pass run.
+    fn plan_row_group(
+        &mut self,
+        spikes: &SpikeMatrix,
+        shape: TileShape,
+        ti: usize,
+        row: &mut [PlacedTile],
+        worker: &mut PlanWorker,
+    ) {
+        let row_start = ti * shape.m;
+        let valid_rows = (spikes.rows() - row_start).min(shape.m);
+        for (tj, placed) in row.iter_mut().enumerate() {
+            let col_start = tj * shape.k;
+            spikes.submatrix_into(row_start, col_start, shape.m, shape.k, &mut worker.tile);
+            worker.stats.tiles += 1;
+            *placed = PlacedTile {
+                meta: self.resolve(&worker.tile, &mut worker.scratch, &mut worker.stats),
+                col_start,
+                valid_rows,
+            };
+        }
+    }
 }
 
 /// Cached geometry of the last [`Session::forward_chain`] call: the
@@ -136,7 +280,8 @@ impl ChainLayout {
 /// One session serves one logical stream of spiking GeMMs (a model being
 /// replayed timestep after timestep). It is `&mut self` throughout — share
 /// *streams* across threads by giving each its own session; *within* one
-/// call the session parallelizes across row-tiles. To share planning work
+/// call the session fans row groups out over the rayon pool, for planning
+/// (shared or disabled cache) and for execution. To share planning work
 /// across concurrent streams, construct the sessions over one
 /// [`SharedPlanCache`] ([`Session::with_shared`]) or drive them through a
 /// [`BatchScheduler`](super::BatchScheduler).
@@ -164,9 +309,6 @@ pub struct Session<T = i64> {
     /// The tenant's shared admission window, resolved once at construction
     /// so the per-tile hot path locks only this window, never a registry.
     shared_admission: Option<Arc<Mutex<Admission>>>,
-    plan_scratch: PlanScratch,
-    /// Scratch tile for extraction + hashing.
-    tile_buf: SpikeMatrix,
     /// The current GeMM's placed tiles, row-major; reused across calls.
     tiles: Vec<PlacedTile>,
     /// k-tiles per row group of the current GeMM.
@@ -264,8 +406,6 @@ impl<T: Element> Session<T> {
             cache,
             tenant: 0,
             shared_admission: None,
-            plan_scratch: PlanScratch::new(),
-            tile_buf: SpikeMatrix::zeros(0, 0),
             tiles: Vec::new(),
             gk: 0,
             cursor: StepCursor::default(),
@@ -379,95 +519,68 @@ impl<T: Element> Session<T> {
 
     /// Plans one spike matrix through the tile cache, leaving the placed
     /// tiles in `self.tiles` (row-major).
-    fn plan(&mut self, spikes: &SpikeMatrix) {
+    ///
+    /// With `fan_out` (and the `parallel` feature), a shared or disabled
+    /// cache plans its row groups concurrently on the rayon pool, each
+    /// with a planner worker checked out of the buffer pool, when the GeMM
+    /// has enough row groups and large enough tiles. The private
+    /// cache needs `&mut` and always runs the one-worker loop. Plans are
+    /// identical either way; only concurrent misses on one tile can turn a
+    /// later hit into a deduplicated offer, which the ledger records.
+    fn plan(&mut self, spikes: &SpikeMatrix, fan_out: bool) {
         let shape = self.config.tile;
         let (gm, gk) = shape.grid(spikes.rows(), spikes.cols());
         self.gk = gk;
-        self.tiles.clear();
-        let mut tile_buf = std::mem::take(&mut self.tile_buf);
-        for ti in 0..gm {
-            let row_start = ti * shape.m;
-            let valid_rows = (spikes.rows() - row_start).min(shape.m);
-            for tj in 0..gk {
-                let col_start = tj * shape.k;
-                spikes.submatrix_into(row_start, col_start, shape.m, shape.k, &mut tile_buf);
-                self.stats.tiles += 1;
-                let meta = Self::plan_tile(
-                    &mut self.cache,
-                    &mut self.plan_scratch,
-                    &mut self.stats,
-                    &tile_buf,
-                    self.shared_admission.as_deref(),
-                );
-                self.tiles.push(PlacedTile {
-                    meta,
-                    col_start,
-                    valid_rows,
-                });
-            }
-        }
-        self.tile_buf = tile_buf;
-    }
-
-    /// Resolves one extracted tile to a plan: cache hit, or plan-and-offer.
-    ///
-    /// For the shared backend, planning happens *outside* the shard lock so
-    /// concurrent sessions overlap their Detector/Pruner work; the offer
-    /// afterwards deduplicates racing planners (identical by construction —
-    /// planning is a pure function of the tile bits).
-    fn plan_tile(
-        cache: &mut CacheSlot,
-        scratch: &mut PlanScratch,
-        stats: &mut EngineStats,
-        tile: &SpikeMatrix,
-        admission: Option<&Mutex<Admission>>,
-    ) -> Arc<TileMeta> {
-        let fresh = |scratch: &mut PlanScratch| {
-            let (meta, _) = TileMeta::build_with(tile, 0, 0, scratch);
-            Arc::new(meta)
+        self.tiles.truncate(gm * gk);
+        self.tiles.resize(gm * gk, PlacedTile::unplanned());
+        let mut planner = match &mut self.cache {
+            CacheSlot::Private(cache) => Planner::Private(cache),
+            CacheSlot::Off => Planner::Concurrent(ConcurrentPlanner {
+                cache: None,
+                admission: None,
+            }),
+            CacheSlot::Shared(shared) => Planner::Concurrent(ConcurrentPlanner {
+                cache: Some(shared),
+                admission: self.shared_admission.as_deref(),
+            }),
         };
-        match cache {
-            CacheSlot::Off => {
-                stats.cache_misses += 1;
-                fresh(scratch)
+        let pool = &self.pool;
+        #[cfg(not(feature = "parallel"))]
+        let _ = fan_out;
+        match planner {
+            #[cfg(feature = "parallel")]
+            Planner::Concurrent(concurrent)
+                if fan_out
+                    && gk > 0
+                    && shape.m * shape.k >= MIN_FANNED_PLAN_TILE_BITS
+                    && worth_fanning_out(gm) =>
+            {
+                use rayon::prelude::*;
+                pool.reserve_plan(rayon::current_num_threads(), shape.m, shape.k);
+                self.tiles
+                    .par_chunks_mut(gk)
+                    .enumerate()
+                    .for_each(|(ti, row)| {
+                        let mut worker = pool.take_plan();
+                        Planner::Concurrent(concurrent).plan_row_group(
+                            spikes,
+                            shape,
+                            ti,
+                            row,
+                            &mut worker,
+                        );
+                        pool.put_plan(worker);
+                    });
             }
-            CacheSlot::Private(cache) => {
-                let hash = hash_tile(tile);
-                if let Some((meta, restored)) = cache.lookup(hash, tile) {
-                    stats.cache_hits += 1;
-                    stats.restored_hits += u64::from(restored);
-                    return meta;
+            _ => {
+                let mut worker = pool.take_plan();
+                for (ti, row) in self.tiles.chunks_mut(gk.max(1)).enumerate() {
+                    planner.plan_row_group(spikes, shape, ti, row, &mut worker);
                 }
-                stats.cache_misses += 1;
-                let meta = fresh(scratch);
-                match cache.insert(hash, tile, Arc::clone(&meta)) {
-                    InsertOutcome::Inserted => {}
-                    InsertOutcome::Evicted => stats.cache_evictions += 1,
-                    InsertOutcome::Bypassed => stats.cache_bypasses += 1,
-                    InsertOutcome::Deduplicated => unreachable!("private cache never dedups"),
-                }
-                meta
-            }
-            CacheSlot::Shared(shared) => {
-                let hash = hash_tile(tile);
-                if let Some((meta, restored)) = shared.lookup(hash, tile, admission) {
-                    stats.cache_hits += 1;
-                    stats.restored_hits += u64::from(restored);
-                    return meta;
-                }
-                stats.cache_misses += 1;
-                let (meta, outcome) = shared.insert(hash, tile, fresh(scratch), admission);
-                match outcome {
-                    // Deduplicated: a racing session won the insert; the
-                    // resident plan is used and no admission bypass is
-                    // recorded (none happened).
-                    InsertOutcome::Inserted | InsertOutcome::Deduplicated => {}
-                    InsertOutcome::Evicted => stats.cache_evictions += 1,
-                    InsertOutcome::Bypassed => stats.cache_bypasses += 1,
-                }
-                meta
+                pool.put_plan(worker);
             }
         }
+        pool.drain_plan_stats(&mut self.stats);
     }
 
     /// Executes one spiking GeMM into `out` (resized in place, so a reused
@@ -486,21 +599,25 @@ impl<T: Element> Session<T> {
         weights: &WeightMatrix<T>,
         out: &mut OutputMatrix<T>,
     ) {
-        self.gemm_prepare(spikes, weights, out, true);
-        self.timed_execute(|s| s.execute_current(weights, out));
+        self.gemm_prepare(spikes, weights, out, true, true);
+        self.timed_execute(|s| s.execute_current(weights, out, true));
     }
 
     /// Strictly single-threaded [`Session::gemm_into`]; the oracle the
-    /// parallel path is property-tested against. Cache behaviour (and thus
-    /// [`EngineStats`]) is identical.
+    /// parallel path is property-tested against. Plans are identical, and
+    /// so is [`EngineStats`] unless one GeMM repeats a tile across row
+    /// groups (then `gemm_into`'s concurrent row groups may both miss it;
+    /// the second offer deduplicates) or the cache is under eviction or
+    /// admission pressure (then concurrent miss order may change which
+    /// plan is evicted or bypassed). Hits + misses == tiles either way.
     pub fn gemm_into_serial(
         &mut self,
         spikes: &SpikeMatrix,
         weights: &WeightMatrix<T>,
         out: &mut OutputMatrix<T>,
     ) {
-        self.gemm_prepare(spikes, weights, out, true);
-        self.timed_execute(|s| s.execute_current_serial(weights, out));
+        self.gemm_prepare(spikes, weights, out, true, false);
+        self.timed_execute(|s| s.execute_current(weights, out, false));
     }
 
     /// Convenience [`Session::gemm_into`] allocating a fresh output.
@@ -515,7 +632,7 @@ impl<T: Element> Session<T> {
     ///
     /// The first visit plans the whole GeMM (one plan-cache pass, exactly as
     /// `gemm_into` would) and resets `out`; each visit then executes a
-    /// bounded slice of row-tiles, fanned across rayon workers with the
+    /// bounded slice of row-tiles, fanned out over the rayon pool with the
     /// `parallel` feature. Keep calling with the *same* `spikes`, `weights`,
     /// and `out` until the returned [`SliceRun::done`] is true; only then is
     /// `out` the complete GeMM result. Row-tiles are independent (no output
@@ -538,9 +655,9 @@ impl<T: Element> Session<T> {
         out: &mut OutputMatrix<T>,
         max_row_tiles: usize,
     ) -> SliceRun {
-        self.slice_prepare(spikes, weights, out);
+        self.slice_prepare(spikes, weights, out, true);
         let (start, count) = self.slice_bounds(max_row_tiles);
-        self.timed_execute(|s| s.execute_slice(weights, out, start, count));
+        self.timed_execute(|s| s.execute_slice(weights, out, start, count, true));
         self.slice_advance(count)
     }
 
@@ -554,9 +671,9 @@ impl<T: Element> Session<T> {
         out: &mut OutputMatrix<T>,
         max_row_tiles: usize,
     ) -> SliceRun {
-        self.slice_prepare(spikes, weights, out);
+        self.slice_prepare(spikes, weights, out, false);
         let (start, count) = self.slice_bounds(max_row_tiles);
-        self.timed_execute(|s| s.execute_slice_serial(weights, out, start, count));
+        self.timed_execute(|s| s.execute_slice(weights, out, start, count, false));
         self.slice_advance(count)
     }
 
@@ -585,9 +702,10 @@ impl<T: Element> Session<T> {
         spikes: &SpikeMatrix,
         weights: &WeightMatrix<T>,
         out: &mut OutputMatrix<T>,
+        fan_out: bool,
     ) {
         if !self.cursor.active {
-            self.gemm_prepare(spikes, weights, out, true);
+            self.gemm_prepare(spikes, weights, out, true, fan_out);
             self.cursor = StepCursor {
                 next_row_tile: 0,
                 row_tiles: self.planned_row_tiles(),
@@ -632,13 +750,15 @@ impl<T: Element> Session<T> {
 
     /// Shared plan + output-shape phase of the `gemm_into*` entry points.
     /// `check_dims` is false only on chain-internal calls whose geometry
-    /// the cached [`ChainLayout`] already validated.
+    /// the cached [`ChainLayout`] already validated; `fan_out` is false
+    /// only on the serial oracles.
     fn gemm_prepare(
         &mut self,
         spikes: &SpikeMatrix,
         weights: &WeightMatrix<T>,
         out: &mut OutputMatrix<T>,
         check_dims: bool,
+        fan_out: bool,
     ) {
         if check_dims {
             assert_eq!(
@@ -658,7 +778,7 @@ impl<T: Element> Session<T> {
         );
         self.stats.gemms += 1;
         let planned = std::time::Instant::now();
-        self.plan(spikes);
+        self.plan(spikes, fan_out);
         self.stats.plan_ns += planned.elapsed().as_nanos() as u64;
         out.reset(spikes.rows(), weights.cols());
     }
@@ -673,112 +793,77 @@ impl<T: Element> Session<T> {
 
     /// Executes the tiles placed by the last `plan` call into `out` (the
     /// whole GeMM is one maximal slice).
-    fn execute_current(&self, weights: &WeightMatrix<T>, out: &mut OutputMatrix<T>) {
-        self.execute_slice(weights, out, 0, self.planned_row_tiles());
-    }
-
-    /// Serial row-tile sweep over the placed tiles.
-    fn execute_current_serial(&self, weights: &WeightMatrix<T>, out: &mut OutputMatrix<T>) {
-        self.execute_slice_serial(weights, out, 0, self.planned_row_tiles());
+    fn execute_current(&self, weights: &WeightMatrix<T>, out: &mut OutputMatrix<T>, fan_out: bool) {
+        self.execute_slice(weights, out, 0, self.planned_row_tiles(), fan_out);
     }
 
     /// Executes `count` row-tiles starting at row group `start` of the last
-    /// plan into their chunks of `out`; the group's ready row-tiles fan out
-    /// across rayon workers.
+    /// plan into their chunks of `out`. With `fan_out` (and the `parallel`
+    /// feature) the row-tiles are claimed by the rayon pool's threads, each
+    /// with an executor scratch checked out of the buffer pool; otherwise
+    /// one scratch serves them all in order. Bit-identical either way.
     // analyze: hot-path
-    #[cfg(feature = "parallel")]
     fn execute_slice(
         &self,
         weights: &WeightMatrix<T>,
         out: &mut OutputMatrix<T>,
         start: usize,
         count: usize,
+        fan_out: bool,
     ) {
-        use rayon::prelude::*;
         let n = weights.cols();
         if count == 0 || n == 0 {
             return;
         }
-        // Fan-out has a fixed per-dispatch cost; a single row-tile or a
-        // one-worker pool gains nothing from it, and sub-GeMM quanta
-        // multiply dispatches, so route those straight to the serial
-        // executor (bit-identical either way).
-        if count == 1 || rayon::current_num_threads() == 1 {
-            self.execute_slice_serial(weights, out, start, count);
+        let (gk, chunk_elems) = (self.gk, self.config.tile.m * n);
+        #[cfg(any(test, feature = "fault-injection"))]
+        let faults = super::faults::snapshot();
+        let row_tile = |ti: usize, chunk: &mut [T], s: &mut ExecScratch<T>| {
+            #[cfg(any(test, feature = "fault-injection"))]
+            super::faults::maybe_panic_row_tile(faults.as_ref());
+            // Chunk sizing guarantees `ti` indexes a planned row group, so
+            // the range is always valid; `get` keeps the warm dispatch
+            // loop free of panic paths.
+            if let Some(tiles) = self.tiles.get(ti * gk..(ti + 1) * gk) {
+                execute_row_tile(
+                    tiles,
+                    weights,
+                    chunk,
+                    &mut s.arena,
+                    &mut s.parents,
+                    &mut s.simple,
+                    n,
+                );
+            }
+        };
+        let rows = out.as_mut_slice();
+        #[cfg(feature = "parallel")]
+        if fan_out && worth_fanning_out(count) {
+            use rayon::prelude::*;
+            self.pool
+                .reserve_exec(rayon::current_num_threads(), self.config.tile.m, n);
+            rows.par_chunks_mut(chunk_elems)
+                .enumerate()
+                .skip(start)
+                .take(count)
+                .for_each(|(ti, chunk)| {
+                    let mut s = self.pool.take_exec();
+                    row_tile(ti, chunk, &mut s);
+                    self.pool.put_exec(s);
+                });
             return;
         }
-        let chunk_elems = self.config.tile.m * n;
-        let gk = self.gk;
-        let row_chunks: Vec<(usize, &mut [T])> = out
-            .as_mut_slice()
+        #[cfg(not(feature = "parallel"))]
+        let _ = fan_out;
+        let mut s = self.pool.take_exec();
+        for (ti, chunk) in rows
             .chunks_mut(chunk_elems)
             .enumerate()
             .skip(start)
             .take(count)
-            .collect();
-        row_chunks.into_par_iter().for_each(|(ti, chunk)| {
-            // chunks_mut sizing guarantees ti indexes a planned row group,
-            // so the range is always valid; `get` keeps the warm dispatch
-            // loop free of panic paths.
-            let Some(tiles) = self.tiles.get(ti * gk..(ti + 1) * gk) else {
-                return;
-            };
-            let mut s = self.pool.take_exec();
-            execute_row_tile(
-                tiles,
-                weights,
-                chunk,
-                &mut s.arena,
-                &mut s.parents,
-                &mut s.simple,
-                n,
-            );
-            self.pool.put_exec(s);
-        });
-    }
-
-    /// Executes `count` row-tiles starting at row group `start` of the last
-    /// plan into their chunks of `out` (serial build).
-    // analyze: hot-path
-    #[cfg(not(feature = "parallel"))]
-    fn execute_slice(
-        &self,
-        weights: &WeightMatrix<T>,
-        out: &mut OutputMatrix<T>,
-        start: usize,
-        count: usize,
-    ) {
-        self.execute_slice_serial(weights, out, start, count);
-    }
-
-    /// Single-threaded slice executor (shared with the serial whole-GeMM
-    /// path via [`execute_row_tiles`]).
-    // analyze: hot-path
-    fn execute_slice_serial(
-        &self,
-        weights: &WeightMatrix<T>,
-        out: &mut OutputMatrix<T>,
-        start: usize,
-        count: usize,
-    ) {
-        let n = weights.cols();
-        if count == 0 || n == 0 {
-            return;
+        {
+            row_tile(ti, chunk, &mut s);
         }
-        let mut s = self.pool.take_exec();
-        execute_row_tiles(
-            &self.tiles,
-            self.gk,
-            weights,
-            out.as_mut_slice(),
-            start,
-            count,
-            &mut s.arena,
-            &mut s.parents,
-            &mut s.simple,
-            self.config.tile.m,
-            n,
-        );
         self.pool.put_exec(s);
     }
 
@@ -835,8 +920,8 @@ impl<T: Element> Session<T> {
         for (i, weights) in layers.iter().enumerate() {
             {
                 let src: &SpikeMatrix = if i == 0 { input } else { &ping };
-                self.gemm_prepare(src, weights, &mut acc, false);
-                self.timed_execute(|s| s.execute_current(weights, &mut acc));
+                self.gemm_prepare(src, weights, &mut acc, false, true);
+                self.timed_execute(|s| s.execute_current(weights, &mut acc, true));
             }
             super::threshold_spikes(&acc, threshold, &mut pong);
             std::mem::swap(&mut ping, &mut pong);

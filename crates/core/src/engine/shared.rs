@@ -62,6 +62,10 @@ struct ShardCounters {
     bypasses: u64,
     dedups: u64,
     restored_hits: u64,
+    /// Nanoseconds this shard's mutex was held across lookups and
+    /// insertions. Kept per shard, under the lock it times, so concurrent
+    /// planners never contend on one global counter.
+    lock_hold_ns: u64,
 }
 
 /// One lock domain of the shared cache.
@@ -239,9 +243,6 @@ pub struct SharedPlanCache {
     admission: AdmissionTable,
     /// Poisoned shards recovered (entries dropped) — see module docs.
     shard_resets: AtomicU64,
-    /// Nanoseconds shard mutexes were held across lookups and insertions
-    /// (acquisition → release), the serving hot path's contention budget.
-    lock_hold_ns: AtomicU64,
 }
 
 impl SharedPlanCache {
@@ -311,7 +312,6 @@ impl SharedPlanCache {
             capacity,
             admission: AdmissionTable::new(admission),
             shard_resets: AtomicU64::new(0),
-            lock_hold_ns: AtomicU64::new(0),
         }
     }
 
@@ -384,7 +384,6 @@ impl SharedPlanCache {
         for s in self.shards.iter() {
             self.lock_shard(s).counters = ShardCounters::default();
         }
-        self.lock_hold_ns.store(0, Ordering::Relaxed);
     }
 
     /// One tenant-table GC sweep: advances the table's generation clock
@@ -432,13 +431,13 @@ impl SharedPlanCache {
             out.bypasses += s.counters.bypasses;
             out.dedups += s.counters.dedups;
             out.restored_hits += s.counters.restored_hits;
+            out.lock_hold_ns += s.counters.lock_hold_ns;
             out.resident += s.cache.len();
             out.restored_resident += s.cache.restored_resident();
         }
         // Read after the loop: locking every shard above recovers any
         // still-poisoned shard, so the count is settled by now.
         out.shard_resets = self.shard_resets.load(Ordering::Relaxed);
-        out.lock_hold_ns = self.lock_hold_ns.load(Ordering::Relaxed);
         out
     }
 
@@ -579,8 +578,7 @@ impl SharedPlanCache {
                 }
                 None => shard.counters.misses += 1,
             }
-            self.lock_hold_ns
-                .fetch_add(held.elapsed().as_nanos() as u64, Ordering::Relaxed);
+            shard.counters.lock_hold_ns += held.elapsed().as_nanos() as u64;
             found
         };
         // The shard lock is already released; the tenant's window is its
@@ -641,8 +639,7 @@ impl SharedPlanCache {
             }
             (meta, outcome)
         };
-        self.lock_hold_ns
-            .fetch_add(held.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        shard.counters.lock_hold_ns += held.elapsed().as_nanos() as u64;
         result
     }
 }

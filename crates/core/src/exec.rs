@@ -86,25 +86,23 @@ pub fn execute_plan<T: Copy + Default + AddAssign + Send + Sync + 'static>(
     }
     let chunk_elems = plan.shape().m * n;
     let tiles = plan.tiles();
-    let row_chunks: Vec<(usize, &mut [T])> = out
-        .as_mut_slice()
-        .chunks_mut(chunk_elems)
+    out.as_mut_slice()
+        .par_chunks_mut(chunk_elems)
         .enumerate()
-        .collect();
-    row_chunks.into_par_iter().for_each(|(ti, chunk)| {
-        let mut arena = Vec::new();
-        let mut parents = Vec::new();
-        let mut simple = Vec::new();
-        execute_row_tile(
-            &tiles[ti * gk..(ti + 1) * gk],
-            weights,
-            chunk,
-            &mut arena,
-            &mut parents,
-            &mut simple,
-            n,
-        );
-    });
+        .for_each(|(ti, chunk)| {
+            let mut arena = Vec::new();
+            let mut parents = Vec::new();
+            let mut simple = Vec::new();
+            execute_row_tile(
+                &tiles[ti * gk..(ti + 1) * gk],
+                weights,
+                chunk,
+                &mut arena,
+                &mut parents,
+                &mut simple,
+                n,
+            );
+        });
     out
 }
 
@@ -320,47 +318,6 @@ pub(crate) fn execute_row_tile<T: Copy + Default + AddAssign + 'static, V: TileE
                 accumulate_pattern(out_row, pattern, col_start, wdata, wrows, n);
             }
         }
-    }
-}
-
-/// Executes a contiguous range of row groups `[start, start + count)` of a
-/// placed-tile grid serially, each into its `tile_m × n` output chunk.
-///
-/// This is the executor the session's serial whole-GeMM path and its sliced
-/// (`gemm_slice`) path share: a slice is just a sub-range of row groups, so
-/// executing `[0, gm)` in one call and executing it as several disjoint
-/// ranges produce bit-identical output — row groups never share output
-/// elements or carry state across each other.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn execute_row_tiles<T: Copy + Default + AddAssign + 'static, V: TileExec>(
-    tiles: &[V],
-    gk: usize,
-    weights: &WeightMatrix<T>,
-    out: &mut [T],
-    start: usize,
-    count: usize,
-    arena: &mut Vec<T>,
-    parents: &mut Vec<bool>,
-    simple: &mut Vec<bool>,
-    tile_m: usize,
-    n: usize,
-) {
-    let chunk_elems = tile_m * n;
-    for (ti, chunk) in out
-        .chunks_mut(chunk_elems)
-        .enumerate()
-        .skip(start)
-        .take(count)
-    {
-        execute_row_tile(
-            &tiles[ti * gk..(ti + 1) * gk],
-            weights,
-            chunk,
-            arena,
-            parents,
-            simple,
-            n,
-        );
     }
 }
 

@@ -88,10 +88,13 @@ pub fn parallel_enabled() -> bool {
     cfg!(feature = "parallel")
 }
 
-/// Worker threads the parallel paths will actually use: rayon's pool size
-/// with the `parallel` feature (respects `RAYON_NUM_THREADS`), 1 without.
-/// Benches record this as `threads_effective` so single-core runs are not
-/// held to parallel≥serial expectations.
+/// Threads the parallel paths will actually use: the rayon pool's size with
+/// the `parallel` feature, 1 without. The pool reads `RAYON_NUM_THREADS`
+/// (else the available parallelism) once, at first use, spawns that many
+/// threads minus one as parked workers, and counts the dispatching thread
+/// as the last one; later changes to the variable have no effect. Benches
+/// record this as `threads_effective` so single-core runs are not held to
+/// parallel≥serial expectations.
 pub fn parallel_threads() -> usize {
     #[cfg(feature = "parallel")]
     {

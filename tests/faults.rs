@@ -243,6 +243,69 @@ fn lane_quarantined_mid_slice_leaves_survivors_bit_exact() {
     }
 }
 
+/// A panic inside a fanned-out row-tile — raised on whichever pool thread
+/// claimed it, possibly a worker rather than the lane's own thread —
+/// reaches the scheduler with its original payload: only that lane is
+/// quarantined, its `LaneFault` names the injected fault (not a generic
+/// "worker panicked"), the pool keeps serving the remaining GeMMs, and
+/// every surviving lane stays bit-identical to the serial oracle.
+#[test]
+fn row_tile_panic_in_the_pool_quarantines_only_its_lane() {
+    use prosperity::core::engine::BatchScheduler;
+    faults::silence_injected_panics();
+    let mut rng = StdRng::seed_from_u64(0x7011);
+    let tile = TileShape::new(8, 8);
+    // Two row groups per pool thread, so every GeMM fans out (on a
+    // one-thread pool the same row-tile body runs inline).
+    let gm = 2 * prosperity::core::parallel_threads().max(2);
+    for trial in 0..4u64 {
+        let k = rng.gen_range(9..40);
+        let gen = TraceGen::new(TraceGenParams::uncorrelated(rng.gen_range(0.1..0.5)));
+        let streams = gen.generate_tenant_streams(3, 3, gm * tile.m, k, 0.9, 0.9, &mut rng);
+        let weights = (0..3)
+            .map(|_| WeightMatrix::from_fn(k, 4, |_, _| rng.gen_range(-30i64..30)))
+            .collect();
+        let batch = TenantBatch { streams, weights };
+        let config = EngineConfig::new(tile, 64);
+        let oracle = serial_private_oracle(&batch, config);
+        let traces = traces_of(&batch);
+        // Round robin runs whole GeMMs one at a time, lane 0, 1, 2, 0, …,
+        // each `gm` row-tiles long: row-tile `nth` is in the fifth GeMM,
+        // lane 1's step 1.
+        let nth = 4 * gm as u64 + trial;
+        let guard = faults::install(FaultPlan::row_tile_panic(nth));
+        let mut sched = BatchScheduler::new(config, BatchPolicy::RoundRobin);
+        let mut got: Vec<Vec<Option<OutputMatrix<i64>>>> =
+            oracle.iter().map(|outs| vec![None; outs.len()]).collect();
+        sched.run(&traces, |tenant, step, out| {
+            got[tenant][step] = Some(out.clone());
+        });
+        assert!(guard.fired().row_tile_panic, "trial {trial}");
+        drop(guard);
+        let quarantined = sched.quarantined();
+        assert_eq!(quarantined.len(), 1, "trial {trial}: {quarantined:?}");
+        let fault = &quarantined[0];
+        assert_eq!((fault.lane, fault.step), (1, 1), "trial {trial}");
+        assert_eq!(
+            fault.reason,
+            format!("injected fault: row tile {nth} panics"),
+            "trial {trial}: the original payload survives the pool"
+        );
+        assert_eq!(sched.scheduler_stats().lane_faults, 1, "trial {trial}");
+        for (tenant, outs) in oracle.iter().enumerate() {
+            for (step, want) in outs.iter().enumerate() {
+                match &got[tenant][step] {
+                    Some(out) => assert_eq!(out, want, "trial {trial} t{tenant} s{step}"),
+                    None => assert!(
+                        tenant == 1 && step >= 1,
+                        "trial {trial} t{tenant} s{step}: survivor lost a step"
+                    ),
+                }
+            }
+        }
+    }
+}
+
 /// Lifecycle edge: `begin_batch` after a quarantined lane hands the next
 /// batch fresh lanes — the quarantine is lifted, the new run completes on
 /// every lane, and no fault counters leak across the batch boundary.

@@ -11,7 +11,7 @@ use prosperity::core::engine::{
 };
 use prosperity::models::tracegen::{TraceGen, TraceGenParams};
 use prosperity::models::Workload;
-use prosperity::spikemat::gemm::{OutputMatrix, WeightMatrix};
+use prosperity::spikemat::gemm::{spiking_gemm, OutputMatrix, WeightMatrix};
 use prosperity::spikemat::TileShape;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -756,5 +756,128 @@ fn merged_stats_account_for_every_session() {
     assert_eq!(
         merged.gemms as usize,
         batch.streams.iter().map(Vec::len).sum::<usize>()
+    );
+}
+
+/// Runs two tenants' correlated streams through `cache`, alternating
+/// steps, with every GeMM on the default (fanned-out) path or on the
+/// one-worker oracle. Every output is checked against `spiking_gemm`;
+/// returns the merged session stats and the cache's stats, with the
+/// wall-clock counters zeroed.
+fn serve_two_tenants(
+    streams: &[Vec<prosperity::spikemat::SpikeMatrix>],
+    weights: &WeightMatrix<i64>,
+    config: EngineConfig,
+    cache: SharedPlanCache,
+    fan_out: bool,
+) -> (EngineStats, prosperity::core::engine::SharedCacheStats) {
+    let cache = Arc::new(cache);
+    let mut sessions: Vec<Session<i64>> = (0..streams.len() as u64)
+        .map(|t| Session::with_shared_tenant(config, Arc::clone(&cache), t))
+        .collect();
+    let mut out = OutputMatrix::zeros(0, 0);
+    for step in 0..streams[0].len() {
+        for (session, stream) in sessions.iter_mut().zip(streams) {
+            let spikes = &stream[step];
+            if fan_out {
+                session.gemm_into(spikes, weights, &mut out);
+            } else {
+                session.gemm_into_serial(spikes, weights, &mut out);
+            }
+            assert_eq!(out, spiking_gemm(spikes, weights), "step {step}");
+        }
+    }
+    let mut stats = EngineStats::merged(
+        sessions
+            .iter()
+            .map(Session::stats)
+            .collect::<Vec<_>>()
+            .iter(),
+    );
+    stats.plan_ns = 0;
+    stats.exec_ns = 0;
+    let mut shared = cache.stats();
+    shared.lock_hold_ns = 0;
+    (stats, shared)
+}
+
+/// Planning fanned out by row group keeps the one-worker ledger. Across
+/// ragged tilings, outputs are bit-identical to `spiking_gemm` either way.
+/// Without cache pressure (and with no tile repeated across a GeMM's row
+/// groups, checked) the session and cache counters match exactly; under
+/// eviction and admission pressure, concurrent miss order may change which
+/// plan is evicted or bypassed, so only the ledger identities must hold.
+#[test]
+fn parallel_planning_keeps_the_one_worker_ledger() {
+    let mut rng = StdRng::seed_from_u64(0x9A7A);
+    // At least two row groups per pool thread, so planning fans out.
+    let min_groups = 2 * prosperity::core::parallel_threads().max(2);
+    let mut bypasses = [0u64; 2];
+    for trial in 0..6 {
+        // Tiles of at least 2048 bits, the smallest whose planning fans out.
+        let tile = TileShape::new(rng.gen_range(32..=48), rng.gen_range(64..=96));
+        // Ragged edges, each at least half a tile, so no padded edge tile
+        // is sparse enough to repeat across row groups.
+        let gm = min_groups + rng.gen_range(0..4);
+        let rows = gm * tile.m - rng.gen_range(0..tile.m / 2);
+        let k = rng.gen_range(2..4) * tile.k - rng.gen_range(0..tile.k / 2);
+        let gen = TraceGen::new(TraceGenParams::uncorrelated(rng.gen_range(0.3..0.5)));
+        let streams = gen.generate_tenant_streams(2, 4, rows, k, 0.998, 0.998, &mut rng);
+        let weights = WeightMatrix::from_fn(k, 3, |_, _| rng.gen_range(-30i64..30));
+        for spikes in streams.iter().flatten() {
+            let tiles: Vec<_> = spikes.tiles(tile).map(|t| t.data).collect();
+            for (i, a) in tiles.iter().enumerate() {
+                assert!(
+                    tiles[i + 1..].iter().all(|b| a != b),
+                    "trial {trial}: inputs must not repeat a tile within a GeMM"
+                );
+            }
+        }
+        let config = EngineConfig::new(tile, 1 << 16);
+
+        let roomy = || SharedPlanCache::with_shards(1 << 16, 4, None);
+        let (par, par_cache) = serve_two_tenants(&streams, &weights, config, roomy(), true);
+        let (one, one_cache) = serve_two_tenants(&streams, &weights, config, roomy(), false);
+        assert_eq!(par, one, "trial {trial}: session ledger");
+        assert_eq!(par_cache, one_cache, "trial {trial}: cache ledger");
+        assert!(
+            par.cache_hits > 0 && par_cache.dedups == 0,
+            "trial {trial}: {par_cache:?}"
+        );
+
+        // A quarter of one GeMM's tiles, and an admission bar above the
+        // streams' hit rate: evictions every step, bypasses most windows.
+        let admission = AdmissionConfig {
+            window: 8,
+            min_hit_permille: 900,
+            probe_period: 3,
+        };
+        let capacity = (par.tiles / par.gemms / 4).max(2) as usize;
+        let tight = || SharedPlanCache::with_shards(capacity, 2, Some(admission));
+        for (mode, fan_out) in [true, false].into_iter().enumerate() {
+            let (s, c) = serve_two_tenants(&streams, &weights, config, tight(), fan_out);
+            assert_eq!((s.gemms, s.tiles), (one.gemms, one.tiles), "trial {trial}");
+            assert_eq!(
+                s.cache_hits + s.cache_misses,
+                s.tiles,
+                "trial {trial}: {s:?}"
+            );
+            assert_eq!(
+                (c.hits, c.misses),
+                (s.cache_hits, s.cache_misses),
+                "trial {trial}"
+            );
+            assert_eq!(
+                c.insertions + c.bypasses + c.dedups,
+                c.misses,
+                "trial {trial}: {c:?}"
+            );
+            assert!(c.evictions > 0, "trial {trial}: pressure: {c:?}");
+            bypasses[mode] += c.bypasses;
+        }
+    }
+    assert!(
+        bypasses.iter().all(|&b| b > 0),
+        "admission pressure: {bypasses:?}"
     );
 }
