@@ -1,7 +1,8 @@
 //! Recycled planner and executor buffers shared across layers, calls, and
 //! worker threads.
 
-use std::sync::Mutex;
+use std::ops::{Deref, DerefMut};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use crate::plan::PlanScratch;
 use spikemat::SpikeMatrix;
@@ -41,12 +42,14 @@ pub(crate) struct PlanWorker {
 /// Holds the executor arenas (checked out per row-tile) and the planner
 /// workers (checked out per row group), both also from rayon workers —
 /// hence the mutexes, each touched twice per row-tile or row group and
-/// never inside the planning or accumulation loops. A fanned-out pass first
-/// tops the pool up to one working-size entry per pool thread
+/// never inside the planning or accumulation loops. A fanned-out pass
+/// first tops the pool up to one working-size entry per pool thread
 /// ([`BufferPool::reserve_exec`], [`BufferPool::reserve_plan`]), so which
 /// thread claims which task never decides whether a buffer is created or
-/// grown mid-pass. The output and spike-chain buffers live directly on the
-/// [`Session`](super::Session).
+/// grown mid-pass. A mutex poisoned by a panic elsewhere is recovered: the
+/// pooled state is only a list of buffers, and returning one while
+/// unwinding must not panic again. The output and spike-chain buffers live
+/// directly on the [`Session`](super::Session).
 #[derive(Debug, Default)]
 pub(crate) struct BufferPool<T> {
     exec: Mutex<Vec<ExecScratch<T>>>,
@@ -58,7 +61,7 @@ impl<T: Copy + Default> BufferPool<T> {
     /// Ensures `workers` pooled executor scratches, each sized for
     /// `tile_rows`-row tiles and `n` output columns.
     pub(crate) fn reserve_exec(&self, workers: usize, tile_rows: usize, n: usize) {
-        let mut exec = self.exec.lock().expect("buffer pool poisoned");
+        let mut exec = lock(&self.exec);
         let len = exec.len().max(workers);
         exec.resize_with(len, ExecScratch::default);
         for s in exec.iter_mut() {
@@ -76,7 +79,7 @@ impl<T: Copy + Default> BufferPool<T> {
     /// Ensures `workers` pooled planner workers, each with an `m × k`
     /// extraction tile.
     pub(crate) fn reserve_plan(&self, workers: usize, m: usize, k: usize) {
-        let mut plan = self.plan.lock().expect("buffer pool poisoned");
+        let mut plan = lock(&self.plan);
         let len = plan.len().max(workers);
         plan.resize_with(len, PlanWorker::default);
         for w in plan.iter_mut() {
@@ -87,39 +90,78 @@ impl<T: Copy + Default> BufferPool<T> {
     }
 }
 
+fn lock<V>(m: &Mutex<V>) -> MutexGuard<'_, V> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 impl<T> BufferPool<T> {
-    pub(crate) fn take_plan(&self) -> PlanWorker {
-        self.plan
-            .lock()
-            .expect("buffer pool poisoned")
-            .pop()
-            .unwrap_or_default()
-    }
-
-    pub(crate) fn put_plan(&self, worker: PlanWorker) {
-        self.plan.lock().expect("buffer pool poisoned").push(worker);
-    }
-
-    /// Moves every pooled planner worker's counters into `into`.
-    pub(crate) fn drain_plan_stats(&self, into: &mut EngineStats) {
-        for worker in self.plan.lock().expect("buffer pool poisoned").iter_mut() {
-            into.merge(&std::mem::take(&mut worker.stats));
+    /// Checks a planner worker out; it returns to the pool when the
+    /// checkout drops, also when a panic unwinds through its row group.
+    pub(crate) fn take_plan(&self) -> PlanCheckout<'_, T> {
+        PlanCheckout {
+            worker: lock(&self.plan).pop().unwrap_or_default(),
+            pool: self,
         }
     }
 
+    /// Guards a planning pass: when dropped — after the pass, or while a
+    /// panic unwinds out of it — moves every pooled planner worker's
+    /// counters into `into`. Drop it only after every checkout of the pass.
+    pub(crate) fn drain_plan_stats<'a>(
+        &'a self,
+        into: &'a mut EngineStats,
+    ) -> PlanStatsDrain<'a, T> {
+        PlanStatsDrain { pool: self, into }
+    }
+
     pub(crate) fn take_exec(&self) -> ExecScratch<T> {
-        self.exec
-            .lock()
-            .expect("buffer pool poisoned")
-            .pop()
-            .unwrap_or_default()
+        lock(&self.exec).pop().unwrap_or_default()
     }
 
     pub(crate) fn put_exec(&self, scratch: ExecScratch<T>) {
-        self.exec
-            .lock()
-            .expect("buffer pool poisoned")
-            .push(scratch);
+        lock(&self.exec).push(scratch);
+    }
+}
+
+/// A [`PlanWorker`] checked out of a [`BufferPool`] by
+/// [`BufferPool::take_plan`].
+pub(crate) struct PlanCheckout<'a, T> {
+    pool: &'a BufferPool<T>,
+    worker: PlanWorker,
+}
+
+impl<T> Deref for PlanCheckout<'_, T> {
+    type Target = PlanWorker;
+
+    fn deref(&self) -> &PlanWorker {
+        &self.worker
+    }
+}
+
+impl<T> DerefMut for PlanCheckout<'_, T> {
+    fn deref_mut(&mut self) -> &mut PlanWorker {
+        &mut self.worker
+    }
+}
+
+impl<T> Drop for PlanCheckout<'_, T> {
+    fn drop(&mut self) {
+        // A default worker owns no buffers, so the swap allocates nothing.
+        lock(&self.pool.plan).push(std::mem::take(&mut self.worker));
+    }
+}
+
+/// The guard [`BufferPool::drain_plan_stats`] returns.
+pub(crate) struct PlanStatsDrain<'a, T> {
+    pool: &'a BufferPool<T>,
+    into: &'a mut EngineStats,
+}
+
+impl<T> Drop for PlanStatsDrain<'_, T> {
+    fn drop(&mut self) {
+        for worker in lock(&self.pool.plan).iter_mut() {
+            self.into.merge(&std::mem::take(&mut worker.stats));
+        }
     }
 }
 
@@ -140,14 +182,33 @@ mod tests {
     #[test]
     fn planner_stats_drain_once() {
         let pool: BufferPool<i64> = BufferPool::default();
-        let (mut a, mut b) = (pool.take_plan(), pool.take_plan());
-        a.stats.tiles = 3;
-        b.stats.cache_hits = 2;
-        pool.put_plan(a);
-        pool.put_plan(b);
+        {
+            let (mut a, mut b) = (pool.take_plan(), pool.take_plan());
+            a.stats.tiles = 3;
+            b.stats.cache_hits = 2;
+        }
         let mut total = EngineStats::default();
-        pool.drain_plan_stats(&mut total);
-        pool.drain_plan_stats(&mut total);
+        drop(pool.drain_plan_stats(&mut total));
+        drop(pool.drain_plan_stats(&mut total));
         assert_eq!((total.tiles, total.cache_hits), (3, 2));
+    }
+
+    #[test]
+    fn unwinding_checkout_keeps_its_counters() {
+        let pool: BufferPool<i64> = BufferPool::default();
+        let mut total = EngineStats::default();
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _drain = pool.drain_plan_stats(&mut total);
+            let mut worker = pool.take_plan();
+            worker.stats.cache_misses = 5;
+            panic!("planning panicked");
+        }));
+        assert!(unwound.is_err());
+        assert_eq!(total.cache_misses, 5);
+        assert_eq!(
+            lock(&pool.plan).len(),
+            1,
+            "the worker went back to the pool"
+        );
     }
 }

@@ -87,12 +87,13 @@ enum CacheSlot {
     Shared(Arc<SharedPlanCache>),
 }
 
-/// Whether a pass over `row_groups` is worth fanning out over the rayon
-/// pool: only when every pool thread gets at least two. Tasks are claimed
+/// Whether planning `row_groups` is worth fanning out over the rayon pool:
+/// only when every pool thread gets at least two. Tasks are claimed
 /// dynamically, so a worker that wakes late (its core idle since the last
 /// burst) then costs the caller at most one task's wait. Split two ways,
-/// GeMMs of two row groups lost rather than gained: on a 2-core host they
-/// raised the open-loop benchmark's p90 latency by about a third.
+/// the planning of two-row-group GeMMs lost rather than gained: on a
+/// 2-core host it raised the open-loop benchmark's p90 latency by about a
+/// third.
 #[cfg(feature = "parallel")]
 fn worth_fanning_out(row_groups: usize) -> bool {
     let threads = rayon::current_num_threads();
@@ -103,13 +104,25 @@ fn worth_fanning_out(row_groups: usize) -> bool {
 /// Resolving a cached tile takes short locks on state the row groups share
 /// (the tile's shard, the tenant's admission window), and across cores
 /// their cache lines move with every lookup; only hashing and comparing a
-/// large enough tile outweighs that. Measured with a warm shared cache on
-/// a 2-core host: fanned-out planning ran at 0.6–0.7× the one-worker loop
-/// with 256-bit tiles, about 1.0× at 512, 1.1× at 1024 and 1.3–1.6× with
-/// the default 4096-bit tile. Execution has no shared state and gains at
-/// every size (1.3–1.8×), so it is not gated on this.
+/// large enough tile outweighs that. The serving bench's `preemption`
+/// scenario plans 256-bit tiles through a warm shared cache: fanning that
+/// planning out raised its whole-GeMM pass from 9.3 to 16.1 ms (smoke
+/// medians, 24 runs, 2-core host). The benchmark's 4096-bit tiles plan
+/// faster fanned out (see `e2ebench`'s `session.plan_ms`).
 #[cfg(feature = "parallel")]
 const MIN_FANNED_PLAN_TILE_BITS: usize = 2048;
+
+/// Smallest row-tile, in dense multiply-accumulates (`m · K · n`), whose
+/// execution is worth handing to another pool thread. A smaller row-tile
+/// finishes in a few microseconds, about what a dispatch and moving the
+/// row-tile's plans and output to the other core take. The serving bench's
+/// `preemption` GeMM has 16 Ki-MAC row-tiles (16 rows, K = 128, n = 8):
+/// fanning its whole-GeMM execution out raised that pass from 10.5 to
+/// 17.4 ms (smoke medians, 24 runs, 2-core host), while a one-row-tile
+/// slice of it, which never fans out, was unaffected. The benchmark's
+/// GeMMs have 4 Mi-MAC row-tiles (256 rows, K = 256, n = 64).
+#[cfg(feature = "parallel")]
+const MIN_FANNED_ROW_TILE_MACS: usize = 1 << 16;
 
 /// One planning pass's view of the session's cache backend.
 enum Planner<'a> {
@@ -523,7 +536,8 @@ impl<T: Element> Session<T> {
     /// With `fan_out` (and the `parallel` feature), a shared or disabled
     /// cache plans its row groups concurrently on the rayon pool, each
     /// with a planner worker checked out of the buffer pool, when the GeMM
-    /// has enough row groups and large enough tiles. The private
+    /// has enough row groups ([`worth_fanning_out`]) and large enough tiles
+    /// ([`MIN_FANNED_PLAN_TILE_BITS`]). The private
     /// cache needs `&mut` and always runs the one-worker loop. Plans are
     /// identical either way; only concurrent misses on one tile can turn a
     /// later hit into a deduplicated offer, which the ledger records.
@@ -545,6 +559,10 @@ impl<T: Element> Session<T> {
             }),
         };
         let pool = &self.pool;
+        // Folds the workers' counters into the session once the pass is
+        // over, also when a panic (say, under a poisoned shard lock)
+        // unwinds out of it.
+        let _drain = pool.drain_plan_stats(&mut self.stats);
         #[cfg(not(feature = "parallel"))]
         let _ = fan_out;
         match planner {
@@ -557,19 +575,23 @@ impl<T: Element> Session<T> {
             {
                 use rayon::prelude::*;
                 pool.reserve_plan(rayon::current_num_threads(), shape.m, shape.k);
+                #[cfg(any(test, feature = "fault-injection"))]
+                let faults = super::faults::snapshot();
                 self.tiles
                     .par_chunks_mut(gk)
                     .enumerate()
                     .for_each(|(ti, row)| {
-                        let mut worker = pool.take_plan();
+                        // Pool workers start with no fault plan; adopt the
+                        // caller's so injected shard faults reach them.
+                        #[cfg(any(test, feature = "fault-injection"))]
+                        let _faults = super::faults::adopt(faults.clone());
                         Planner::Concurrent(concurrent).plan_row_group(
                             spikes,
                             shape,
                             ti,
                             row,
-                            &mut worker,
+                            &mut pool.take_plan(),
                         );
-                        pool.put_plan(worker);
                     });
             }
             _ => {
@@ -577,10 +599,8 @@ impl<T: Element> Session<T> {
                 for (ti, row) in self.tiles.chunks_mut(gk.max(1)).enumerate() {
                     planner.plan_row_group(spikes, shape, ti, row, &mut worker);
                 }
-                pool.put_plan(worker);
             }
         }
-        pool.drain_plan_stats(&mut self.stats);
     }
 
     /// Executes one spiking GeMM into `out` (resized in place, so a reused
@@ -799,9 +819,12 @@ impl<T: Element> Session<T> {
 
     /// Executes `count` row-tiles starting at row group `start` of the last
     /// plan into their chunks of `out`. With `fan_out` (and the `parallel`
-    /// feature) the row-tiles are claimed by the rayon pool's threads, each
-    /// with an executor scratch checked out of the buffer pool; otherwise
-    /// one scratch serves them all in order. Bit-identical either way.
+    /// feature) two or more large enough row-tiles
+    /// ([`MIN_FANNED_ROW_TILE_MACS`]) are claimed by the rayon pool's
+    /// threads, each with an executor scratch checked out of the buffer
+    /// pool; otherwise one scratch serves them all in order. Bit-identical
+    /// either way. Unlike planning, execution touches no shared state, so
+    /// a slice of two such row-tiles is already worth splitting.
     // analyze: hot-path
     fn execute_slice(
         &self,
@@ -838,7 +861,11 @@ impl<T: Element> Session<T> {
         };
         let rows = out.as_mut_slice();
         #[cfg(feature = "parallel")]
-        if fan_out && worth_fanning_out(count) {
+        if fan_out
+            && count > 1
+            && chunk_elems * weights.rows() >= MIN_FANNED_ROW_TILE_MACS
+            && rayon::current_num_threads() > 1
+        {
             use rayon::prelude::*;
             self.pool
                 .reserve_exec(rayon::current_num_threads(), self.config.tile.m, n);

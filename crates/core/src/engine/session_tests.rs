@@ -44,6 +44,27 @@ fn serial_and_parallel_paths_agree() {
         engine.gemm_into_serial(&s, &w, &mut b);
         assert_eq!(a, b);
     }
+    // Row-tiles of at least `MIN_FANNED_ROW_TILE_MACS`, so whole GeMMs and
+    // slices of two or more row-tiles execute on the pool; ragged edges.
+    for trial in 0..4 {
+        let tile = TileShape::new(rng.gen_range(16..=24), rng.gen_range(8..=32));
+        let rows = rng.gen_range(2 * tile.m..6 * tile.m);
+        let k = rng.gen_range(256..320);
+        let s = SpikeMatrix::random(rows, k, rng.gen_range(0.1..0.4), &mut rng);
+        let w = WeightMatrix::from_fn(k, 16, |_, _| rng.gen_range(-50i64..50));
+        let mut engine = Engine::new(EngineConfig::new(tile, 64));
+        let mut a = OutputMatrix::zeros(0, 0);
+        let mut b = OutputMatrix::zeros(0, 0);
+        engine.gemm_into(&s, &w, &mut a);
+        engine.gemm_into_serial(&s, &w, &mut b);
+        assert_eq!(a, b, "trial {trial}");
+        let mut sliced = OutputMatrix::zeros(0, 0);
+        while !engine
+            .gemm_slice(&s, &w, &mut sliced, rng.gen_range(2..=4))
+            .done
+        {}
+        assert_eq!(sliced, b, "trial {trial}");
+    }
 }
 
 #[test]

@@ -254,16 +254,17 @@ fn row_tile_panic_in_the_pool_quarantines_only_its_lane() {
     use prosperity::core::engine::BatchScheduler;
     faults::silence_injected_panics();
     let mut rng = StdRng::seed_from_u64(0x7011);
-    let tile = TileShape::new(8, 8);
-    // Two row groups per pool thread, so every GeMM fans out (on a
-    // one-thread pool the same row-tile body runs inline).
+    let tile = TileShape::new(16, 8);
+    // Two row groups per pool thread, each row-tile at least 64 Ki dense
+    // MACs (16 rows x K >= 256 x n = 16), so every GeMM's execution fans
+    // out (on a one-thread pool the same row-tile body runs inline).
     let gm = 2 * prosperity::core::parallel_threads().max(2);
     for trial in 0..4u64 {
-        let k = rng.gen_range(9..40);
+        let k = rng.gen_range(256..320);
         let gen = TraceGen::new(TraceGenParams::uncorrelated(rng.gen_range(0.1..0.5)));
         let streams = gen.generate_tenant_streams(3, 3, gm * tile.m, k, 0.9, 0.9, &mut rng);
         let weights = (0..3)
-            .map(|_| WeightMatrix::from_fn(k, 4, |_, _| rng.gen_range(-30i64..30)))
+            .map(|_| WeightMatrix::from_fn(k, 16, |_, _| rng.gen_range(-30i64..30)))
             .collect();
         let batch = TenantBatch { streams, weights };
         let config = EngineConfig::new(tile, 64);
@@ -395,6 +396,61 @@ fn snapshot_export_races_a_shard_reset() {
         let stats = serving.stats();
         assert_eq!(stats.lane_faults, 1, "{stats:?}");
         assert!(stats.shard_resets >= 1, "{stats:?}");
+    }
+    // The panicking planning pass still credited its lookups to its session.
+    let merged = serving.scheduler().merged_stats();
+    let shared = serving.shared_cache().stats();
+    assert_eq!(
+        (merged.cache_hits, merged.cache_misses),
+        (shared.hits, shared.misses)
+    );
+}
+
+/// A panic under a shard lock inside a fanned-out planning pass — on
+/// whichever pool thread planned that row group — loses no counters: the
+/// checked-out planner workers go back to the pool while unwinding and
+/// their hits and misses are still folded into the faulted lane's session,
+/// so the merged session stats match the shared cache's.
+#[test]
+fn shard_panic_in_fanned_out_planning_keeps_the_ledger() {
+    use prosperity::core::engine::BatchScheduler;
+    faults::silence_injected_panics();
+    let mut rng = StdRng::seed_from_u64(0x1ED6);
+    // 2048-bit tiles, two row groups per pool thread: planning fans out.
+    let tile = TileShape::new(32, 64);
+    let gm = 2 * prosperity::core::parallel_threads().max(2);
+    for trial in 0..4u64 {
+        let k = rng.gen_range(2..4) * tile.k;
+        let gen = TraceGen::new(TraceGenParams::uncorrelated(rng.gen_range(0.2..0.5)));
+        let streams = gen.generate_tenant_streams(3, 3, gm * tile.m, k, 0.9, 0.9, &mut rng);
+        let weights = (0..3)
+            .map(|_| WeightMatrix::from_fn(k, 4, |_, _| rng.gen_range(-30i64..30)))
+            .collect();
+        let batch = TenantBatch { streams, weights };
+        let config = EngineConfig::new(tile, 1024);
+        let oracle = serial_private_oracle(&batch, config);
+        let traces = traces_of(&batch);
+        // The first GeMMs miss most tiles; the panic hits mid-pass.
+        let guard = faults::install(FaultPlan::shard_panic(1 + trial));
+        let mut sched = BatchScheduler::new(config, BatchPolicy::RoundRobin);
+        sched.run(&traces, |tenant, step, out| {
+            assert_eq!(
+                out, &oracle[tenant][step],
+                "trial {trial} t{tenant} s{step}"
+            );
+        });
+        assert!(guard.fired().shard_panic, "trial {trial}");
+        drop(guard);
+        let quarantined = sched.quarantined();
+        assert_eq!(quarantined.len(), 1, "trial {trial}: {quarantined:?}");
+        let merged = sched.merged_stats();
+        let shared = sched.shared_cache().stats();
+        assert_eq!(
+            (merged.cache_hits, merged.cache_misses),
+            (shared.hits, shared.misses),
+            "trial {trial}"
+        );
+        assert_eq!(merged.cache_hits + merged.cache_misses, merged.tiles);
     }
 }
 
