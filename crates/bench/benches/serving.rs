@@ -1000,7 +1000,7 @@ fn preemption(smoke: bool, reps: usize) -> PreemptionOut {
     // serving property, so every pass plans through one pre-warmed shared
     // cache (the monster's 128-tile cold plan on its first visit would
     // otherwise dominate short-lane completion identically in every mode);
-    // fresh scheduler per rep, best of reps per metric.
+    // fresh scheduler per pass, best of reps per metric.
     let warm_cache = Arc::new(SharedPlanCache::with_shards(
         config.cache_capacity,
         SharedPlanCache::recommended_shards(config.cache_capacity),
@@ -1013,39 +1013,42 @@ fn preemption(smoke: bool, reps: usize) -> PreemptionOut {
             vec![vec![(&monster, &w); 1], vec![(&small, &w); 1]];
         sched.run(&warm_traces, |_, _, _| {});
     }
-    let measure = |quantum: usize| -> (f64, f64) {
-        let (mut best_short, mut best_total) = (f64::INFINITY, f64::INFINITY);
-        for _ in 0..reps {
-            let mut sched = BatchScheduler::with_cache(
-                config,
-                BatchPolicy::RoundRobin,
-                Arc::clone(&warm_cache),
-            )
-            .with_slice_quantum(quantum);
-            let mut shorts_done = 0usize;
-            let mut short_ms = None;
-            let start = std::time::Instant::now();
-            sched.run(&traces, |lane, step, _| {
-                if lane > 0 && step + 1 == short_steps {
-                    shorts_done += 1;
-                    if shorts_done == 2 {
-                        short_ms = Some(start.elapsed().as_secs_f64() * 1e3);
-                    }
+    // One timed pass at `quantum`: (short-lane completion ms, total ms).
+    let pass = |quantum: usize| -> (f64, f64) {
+        let mut sched =
+            BatchScheduler::with_cache(config, BatchPolicy::RoundRobin, Arc::clone(&warm_cache))
+                .with_slice_quantum(quantum);
+        let mut shorts_done = 0usize;
+        let mut short_ms = None;
+        let start = std::time::Instant::now();
+        sched.run(&traces, |lane, step, _| {
+            if lane > 0 && step + 1 == short_steps {
+                shorts_done += 1;
+                if shorts_done == 2 {
+                    short_ms = Some(start.elapsed().as_secs_f64() * 1e3);
                 }
-            });
-            let total = start.elapsed().as_secs_f64() * 1e3;
-            best_short = best_short.min(short_ms.expect("short lanes complete"));
-            best_total = best_total.min(total);
-        }
-        (best_short, best_total)
+            }
+        });
+        let total = start.elapsed().as_secs_f64() * 1e3;
+        (short_ms.expect("short lanes complete"), total)
     };
-    let (whole_short_ms, whole_total_ms) = measure(0);
+    // Whole-GeMM and sliced passes alternate rep by rep, so drift of the
+    // host between reps lands on every mode alike instead of deciding the
+    // whole-vs-sliced ratio.
+    let modes: Vec<usize> = std::iter::once(0).chain(quanta).collect();
+    let mut best = vec![(f64::INFINITY, f64::INFINITY); modes.len()];
+    for _ in 0..reps {
+        for (&quantum, best) in modes.iter().zip(&mut best) {
+            let (short_ms, total_ms) = pass(quantum);
+            best.0 = best.0.min(short_ms);
+            best.1 = best.1.min(total_ms);
+        }
+    }
+    let (whole_short_ms, whole_total_ms) = best[0];
     let sweep: Vec<(usize, f64, f64)> = quanta
         .iter()
-        .map(|&q| {
-            let (s, t) = measure(q);
-            (q, s, t)
-        })
+        .zip(&best[1..])
+        .map(|(&q, &(s, t))| (q, s, t))
         .collect();
 
     // The knee: short-tenant latency is flat near its minimum across small

@@ -63,7 +63,6 @@ use std::sync::Arc;
 use spikemat::gemm::{OutputMatrix, WeightMatrix};
 use spikemat::SpikeMatrix;
 
-use super::cache::hash_tile;
 use super::session::{Session, SliceRun};
 use super::shared::SharedPlanCache;
 use super::snapshot::{ImportReport, PlanSnapshot};
@@ -227,8 +226,6 @@ pub struct BatchScheduler<T = i64> {
     /// Pooled per-lane output buffers (kept across `begin_batch`, which
     /// only retires sessions).
     outs: Vec<OutputMatrix<T>>,
-    /// Scratch tile for affinity probes.
-    probe_buf: SpikeMatrix,
     /// Scheduling record of the last [`BatchScheduler::run`] call.
     sched_stats: SchedulerStats,
     /// Per-lane quarantine slot: `Some` after a caught panic, until
@@ -272,7 +269,6 @@ impl<T: Element> BatchScheduler<T> {
             sessions: Vec::new(),
             next_tenant: 0,
             outs: Vec::new(),
-            probe_buf: SpikeMatrix::zeros(0, 0),
             sched_stats: SchedulerStats::default(),
             quarantine: Vec::new(),
             slice_quantum: 0,
@@ -687,9 +683,10 @@ impl<T: Element> BatchScheduler<T> {
     }
 
     /// Greedy choice over the live lanes: the one whose next GeMM has the
-    /// most probed tiles resident in the shared cache (ties → lowest
-    /// index). Returns a *position* into `live`.
-    fn pick_by_affinity<'a, S>(&mut self, traces: &[S], cursors: &[usize], live: &[usize]) -> usize
+    /// most of its first [`AFFINITY_PROBES`] tiles resident in the shared
+    /// cache (ties → lowest index), probed through the lane's own session
+    /// ([`Session::resident_tiles`]). Returns a *position* into `live`.
+    fn pick_by_affinity<'a, S>(&self, traces: &[S], cursors: &[usize], live: &[usize]) -> usize
     where
         T: 'a,
         S: AsRef<[TraceStep<'a, T>]>,
@@ -698,7 +695,8 @@ impl<T: Element> BatchScheduler<T> {
         let mut best_score = -1i64;
         for (pos, &i) in live.iter().enumerate() {
             let trace = traces[i].as_ref();
-            let score = self.affinity(trace[cursors[i]].0);
+            let score =
+                self.sessions[i].resident_tiles(trace[cursors[i]].0, AFFINITY_PROBES) as i64;
             if score > best_score {
                 best_score = score;
                 best = pos;
@@ -706,28 +704,6 @@ impl<T: Element> BatchScheduler<T> {
         }
         debug_assert_ne!(best, usize::MAX, "no runnable trace");
         best
-    }
-
-    /// Number of this matrix's first [`AFFINITY_PROBES`] tiles resident in
-    /// the shared cache (recency and admission are untouched).
-    fn affinity(&mut self, spikes: &SpikeMatrix) -> i64 {
-        let shape = self.config.tile;
-        let (gm, gk) = shape.grid(spikes.rows(), spikes.cols());
-        let probes = (gm * gk).min(AFFINITY_PROBES);
-        let mut score = 0;
-        for t in 0..probes {
-            let (ti, tj) = (t / gk, t % gk);
-            spikes.submatrix_into(
-                ti * shape.m,
-                tj * shape.k,
-                shape.m,
-                shape.k,
-                &mut self.probe_buf,
-            );
-            let hash = hash_tile(&self.probe_buf);
-            score += i64::from(self.shared.peek(hash, &self.probe_buf));
-        }
-        score
     }
 
     /// Runs every trace to completion with one worker thread per trace,

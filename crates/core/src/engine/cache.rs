@@ -4,9 +4,13 @@
 //! concurrent cache many sessions hit together builds on this in
 //! [`super::shared`].
 //!
-//! Plans are keyed by tile *content* (the raw bit limbs), never by position:
-//! a fast multi-lane hash selects a bucket and a full limb comparison
-//! resolves it, so a hash collision can never substitute a wrong plan.
+//! Plans are keyed by tile *content*, never by position: the key is the
+//! tile's zero-padded row-major limbs, which the planner writes for a whole
+//! row group in one pass
+//! ([`SpikeMatrix::tile_keys_into`](spikemat::SpikeMatrix::tile_keys_into)). A fast
+//! multi-lane hash of the key selects a bucket and one slice comparison
+//! against the stored key resolves it, so a hash collision can never
+//! substitute a wrong plan. The key is copied only when a plan is inserted.
 //! Because [`TileMeta`] construction is a pure
 //! function of the tile bits, a plan served from any cache — private or
 //! shared, inserted by any session — is value-identical to the plan the
@@ -15,7 +19,6 @@
 
 use crate::plan::TileMeta;
 use serde::{Deserialize, Serialize};
-use spikemat::SpikeMatrix;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -25,14 +28,13 @@ use super::snapshot::{ImportReport, SnapshotEntry};
 /// constant used by Fx-style hashers).
 const HASH_K: u64 = 0x9E37_79B9_7F4A_7C15;
 
-/// Streaming 4-lane limb hash.
+/// 4-lane limb hash of a flat tile key.
 ///
 /// Four independent lanes break the multiply dependency chain (a single
 /// folded lane costs ~5 cycles *per limb* in latency, which dominated
-/// miss-heavy streams); collisions are resolved by full limb comparison in
-/// the cache, never trusted. Streaming means a tile can be hashed straight
-/// from its rows without materializing a flat key first — bypassed misses
-/// touch no heap at all.
+/// miss-heavy streams); collisions are resolved by full key comparison in
+/// the cache, never trusted. Hashes are part of the snapshot format, so
+/// this function must not change.
 #[derive(Debug, Clone)]
 struct LimbHasher {
     lanes: [u64; 4],
@@ -73,47 +75,13 @@ impl LimbHasher {
     }
 }
 
-/// Fast content hash of a flat limb sequence — identical to [`hash_tile`]
-/// over the rows whose concatenated limbs these are. The snapshot codec
-/// uses it to re-derive (and cross-check) entry hashes from stored keys.
+/// Content hash of a flat tile key: the planner hashes the keys it
+/// extracts, and the snapshot codec re-derives (and cross-checks) entry
+/// hashes from stored keys.
 pub(crate) fn hash_limbs(limbs: &[u64]) -> u64 {
     let mut h = LimbHasher::new();
     h.extend(limbs);
     h.finish()
-}
-
-/// Content hash of a tile, streamed row by row — identical to
-/// [`hash_limbs`] over the rows' concatenated limbs, without the copy.
-pub(crate) fn hash_tile(tile: &SpikeMatrix) -> u64 {
-    let mut h = LimbHasher::new();
-    for row in tile.row_slice() {
-        h.extend(row.limbs());
-    }
-    h.finish()
-}
-
-/// Whether a stored flat key equals the tile's row-major limbs.
-fn tile_matches(stored: &[u64], tile: &SpikeMatrix) -> bool {
-    let mut offset = 0;
-    for row in tile.row_slice() {
-        let limbs = row.limbs();
-        let end = offset + limbs.len();
-        if end > stored.len() || stored[offset..end] != *limbs {
-            return false;
-        }
-        offset = end;
-    }
-    offset == stored.len()
-}
-
-/// The tile's row-major limbs as an owned flat key (insertion only; lookups
-/// and bypassed misses never materialize this).
-fn key_of(tile: &SpikeMatrix) -> Box<[u64]> {
-    let mut key = Vec::with_capacity(tile.row_slice().iter().map(|r| r.limbs().len()).sum());
-    for row in tile.row_slice() {
-        key.extend_from_slice(row.limbs());
-    }
-    key.into_boxed_slice()
 }
 
 /// Map keys are already hashes, so the cache map uses a pass-through hasher
@@ -319,15 +287,12 @@ impl PlanCache {
         self.restored_resident = 0;
     }
 
-    /// Looks up the plan for a tile with the given content hash, refreshing
-    /// its recency and feeding the admission estimator on both outcomes.
-    /// A hit reports whether the serving entry was snapshot-restored.
-    pub(crate) fn lookup(
-        &mut self,
-        hash: u64,
-        tile: &SpikeMatrix,
-    ) -> Option<(Arc<TileMeta>, bool)> {
-        let got = self.touch(hash, tile);
+    /// Looks up the plan for the tile with flat key `key` and content hash
+    /// `hash`, refreshing its recency and feeding the admission estimator
+    /// on both outcomes. A hit reports whether the serving entry was
+    /// snapshot-restored.
+    pub(crate) fn lookup(&mut self, hash: u64, key: &[u64]) -> Option<(Arc<TileMeta>, bool)> {
+        let got = self.touch(hash, key);
         if let Some(a) = &mut self.admission {
             a.record(got.is_some());
         }
@@ -337,14 +302,14 @@ impl PlanCache {
     /// [`PlanCache::lookup`] without touching the admission window — the
     /// shared cache's insert-time dedup check, which must not count as a
     /// second lookup for the miss it is resolving.
-    pub(crate) fn get(&mut self, hash: u64, tile: &SpikeMatrix) -> Option<Arc<TileMeta>> {
-        self.touch(hash, tile).map(|(meta, _)| meta)
+    pub(crate) fn get(&mut self, hash: u64, key: &[u64]) -> Option<Arc<TileMeta>> {
+        self.touch(hash, key).map(|(meta, _)| meta)
     }
 
     /// Resolves a resident entry: recency refresh + per-slot hit count, no
     /// admission side effects.
-    fn touch(&mut self, hash: u64, tile: &SpikeMatrix) -> Option<(Arc<TileMeta>, bool)> {
-        let idx = self.find(hash, tile)?;
+    fn touch(&mut self, hash: u64, key: &[u64]) -> Option<(Arc<TileMeta>, bool)> {
+        let idx = self.find(hash, key)?;
         self.unlink(idx);
         self.push_front(idx);
         let slot = &mut self.slots[idx as usize];
@@ -352,28 +317,27 @@ impl PlanCache {
         Some((Arc::clone(&slot.meta), slot.restored))
     }
 
-    /// Whether a plan for this tile is resident, without touching recency
-    /// or the admission window (the batch scheduler's affinity probe).
-    pub(crate) fn peek(&self, hash: u64, tile: &SpikeMatrix) -> bool {
-        self.find(hash, tile).is_some()
+    /// Whether a plan for this key is resident, without touching recency
+    /// or the admission window (the batch scheduler's affinity probe and
+    /// the snapshot import's duplicate check).
+    pub(crate) fn peek(&self, hash: u64, key: &[u64]) -> bool {
+        self.find(hash, key).is_some()
     }
 
-    fn find(&self, hash: u64, tile: &SpikeMatrix) -> Option<u32> {
+    /// The slot holding exactly this key, if resident.
+    // analyze: hot-path
+    fn find(&self, hash: u64, key: &[u64]) -> Option<u32> {
         let bucket = self.map.get(&hash)?;
         bucket
             .iter()
             .copied()
-            .find(|&i| tile_matches(&self.slots[i as usize].limbs, tile))
+            .find(|&i| self.slots.get(i as usize).is_some_and(|s| *s.limbs == *key))
     }
 
     /// Offers a freshly planned tile. Consults the admission policy; on
-    /// admission, stores the key and meta, evicting the LRU entry if full.
-    pub(crate) fn insert(
-        &mut self,
-        hash: u64,
-        tile: &SpikeMatrix,
-        meta: Arc<TileMeta>,
-    ) -> InsertOutcome {
+    /// admission, stores a copy of the key and the meta, evicting the LRU
+    /// entry if full.
+    pub(crate) fn insert(&mut self, hash: u64, key: &[u64], meta: Arc<TileMeta>) -> InsertOutcome {
         if self.capacity == 0 {
             return InsertOutcome::Bypassed;
         }
@@ -388,7 +352,7 @@ impl PlanCache {
         } else {
             InsertOutcome::Inserted
         };
-        self.place(hash, key_of(tile), meta, 0, false);
+        self.place(hash, key.into(), meta, 0, false);
         outcome
     }
 
@@ -493,15 +457,6 @@ impl PlanCache {
         out
     }
 
-    /// Whether a plan with exactly these key limbs is resident.
-    fn find_limbs(&self, hash: u64, limbs: &[u64]) -> bool {
-        self.map.get(&hash).is_some_and(|bucket| {
-            bucket
-                .iter()
-                .any(|&i| *self.slots[i as usize].limbs == *limbs)
-        })
-    }
-
     /// Restores snapshot entries (given hottest-first) into this cache.
     ///
     /// Import is a *restore*, not traffic: it never consults or feeds the
@@ -523,7 +478,7 @@ impl PlanCache {
             // third-party ones may) — must be classified here, before the
             // room check, so they never consume a slot a later unique
             // entry was entitled to.
-            let dup = self.find_limbs(entry.hash, &entry.limbs)
+            let dup = self.peek(entry.hash, &entry.limbs)
                 || accepted
                     .iter()
                     .any(|a| a.hash == entry.hash && a.limbs == entry.limbs);

@@ -1,24 +1,60 @@
 //! Unit tests (kept beside the module, out of its main file).
 
 use super::*;
+use spikemat::{SpikeMatrix, TileShape};
 
 fn tile_of(rows: &[&[u8]]) -> SpikeMatrix {
     SpikeMatrix::from_rows_of_bits(rows)
 }
 
+/// A tile's flat cache key: its row-major limbs.
+fn key(tile: &SpikeMatrix) -> Vec<u64> {
+    tile.row_slice()
+        .iter()
+        .flat_map(|r| r.limbs().iter().copied())
+        .collect()
+}
+
+/// The tile hash streamed row by row, without a flat key: how tiles were
+/// hashed before keys were extracted, and what snapshot hashes hold.
+fn row_streamed_hash(tile: &SpikeMatrix) -> u64 {
+    let mut h = LimbHasher::new();
+    for row in tile.row_slice() {
+        h.extend(row.limbs());
+    }
+    h.finish()
+}
+
 #[test]
-fn streaming_hash_equals_flat_hash() {
+fn extracted_keys_are_submatrix_limbs_and_hash_unchanged() {
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
     let mut rng = StdRng::seed_from_u64(3);
-    for (m, k) in [(1, 1), (3, 70), (16, 129), (64, 64), (5, 256)] {
-        let t = SpikeMatrix::random(m, k, 0.4, &mut rng);
-        let flat: Vec<u64> = t
-            .row_slice()
-            .iter()
-            .flat_map(|r| r.limbs().iter().copied())
-            .collect();
-        assert_eq!(hash_tile(&t), hash_limbs(&flat), "{m}x{k}");
+    let mut tile = SpikeMatrix::zeros(0, 0);
+    let mut keys = Vec::new();
+    for k in [1, 16, 63, 64, 65, 100, 130] {
+        for m in [1, 5, 16] {
+            // Ragged on both axes: a short last row group and a short last
+            // column tile.
+            let rows = m * rng.gen_range(1..4) + rng.gen_range(1..m.max(2));
+            let cols = k * rng.gen_range(1..4) + rng.gen_range(1..k.max(2));
+            let spikes = SpikeMatrix::random(rows, cols, 0.4, &mut rng);
+            let shape = TileShape::new(m, k);
+            let (gm, gk) = shape.grid(rows, cols);
+            for ti in 0..gm {
+                spikes.tile_keys_into(ti * m, shape, gk, &mut keys);
+                assert_eq!(keys.len(), gk * shape.key_limbs(), "{m}x{k}");
+                for (tj, got) in keys.chunks_exact(shape.key_limbs()).enumerate() {
+                    spikes.submatrix_into(ti * m, tj * k, m, k, &mut tile);
+                    assert_eq!(got, key(&tile).as_slice(), "{m}x{k} tile ({ti}, {tj})");
+                    assert_eq!(
+                        hash_limbs(got),
+                        row_streamed_hash(&tile),
+                        "{m}x{k} tile ({ti}, {tj})"
+                    );
+                }
+            }
+        }
     }
 }
 
@@ -32,14 +68,14 @@ fn hash_collisions_cannot_alias_plans() {
     let m1 = Arc::new(TileMeta::build(&t1, 0, 0));
     let m2 = Arc::new(TileMeta::build(&t2, 0, 0));
     let mut cache = PlanCache::new(8, None);
-    cache.insert(42, &t1, Arc::clone(&m1));
-    cache.insert(42, &t2, Arc::clone(&m2)); // same hash, different bits
-    let (got1, restored1) = cache.lookup(42, &t1).expect("t1 resident");
-    let (got2, _) = cache.lookup(42, &t2).expect("t2 resident");
+    cache.insert(42, &key(&t1), Arc::clone(&m1));
+    cache.insert(42, &key(&t2), Arc::clone(&m2)); // same hash, different bits
+    let (got1, restored1) = cache.lookup(42, &key(&t1)).expect("t1 resident");
+    let (got2, _) = cache.lookup(42, &key(&t2)).expect("t2 resident");
     assert!(Arc::ptr_eq(&got1, &m1));
     assert!(Arc::ptr_eq(&got2, &m2));
     assert!(!restored1, "live insertions are not restored entries");
-    assert!(cache.lookup(42, &tz).is_none());
+    assert!(cache.lookup(42, &key(&tz)).is_none());
 }
 
 #[test]
@@ -50,13 +86,15 @@ fn lru_evicts_oldest() {
     let mut cache = PlanCache::new(2, None);
     for t in &tiles {
         let meta = Arc::new(TileMeta::build(t, 0, 0));
-        cache.insert(hash_tile(t), t, meta);
+        let k = key(t);
+        cache.insert(hash_limbs(&k), &k, meta);
     }
     assert_eq!(cache.len(), 2);
     // First-inserted tile was LRU and is gone; the other two remain.
-    assert!(cache.lookup(hash_tile(&tiles[0]), &tiles[0]).is_none());
-    assert!(cache.lookup(hash_tile(&tiles[1]), &tiles[1]).is_some());
-    assert!(cache.lookup(hash_tile(&tiles[2]), &tiles[2]).is_some());
+    let keys: Vec<Vec<u64>> = tiles.iter().map(key).collect();
+    assert!(cache.lookup(hash_limbs(&keys[0]), &keys[0]).is_none());
+    assert!(cache.lookup(hash_limbs(&keys[1]), &keys[1]).is_some());
+    assert!(cache.lookup(hash_limbs(&keys[2]), &keys[2]).is_some());
 }
 
 #[test]
@@ -110,9 +148,10 @@ fn cache_bypasses_insertions_once_closed() {
     }
     let mut outcomes = Vec::new();
     for t in &tiles {
-        let h = hash_tile(t);
-        assert!(cache.lookup(h, t).is_none());
-        outcomes.push(cache.insert(h, t, Arc::new(TileMeta::build(t, 0, 0))));
+        let k = key(t);
+        let h = hash_limbs(&k);
+        assert!(cache.lookup(h, &k).is_none());
+        outcomes.push(cache.insert(h, &k, Arc::new(TileMeta::build(t, 0, 0))));
     }
     // The window rolls during the lookup that completes it, so the
     // second miss of the all-miss window is already bypassed; only the

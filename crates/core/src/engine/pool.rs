@@ -5,15 +5,16 @@ use std::ops::{Deref, DerefMut};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use crate::plan::PlanScratch;
-use spikemat::SpikeMatrix;
+use spikemat::{SpikeMatrix, TileShape};
 
 use super::stats::EngineStats;
 
-/// Reusable executor buffers for one row-tile worker.
+/// Reusable executor buffers for one row-tile worker: the arena of
+/// prefix partials, each row's arena slot, and the simple-row flags.
 #[derive(Debug)]
 pub(crate) struct ExecScratch<T> {
     pub(crate) arena: Vec<T>,
-    pub(crate) parents: Vec<bool>,
+    pub(crate) slots: Vec<u32>,
     pub(crate) simple: Vec<bool>,
 }
 
@@ -21,17 +22,19 @@ impl<T> Default for ExecScratch<T> {
     fn default() -> Self {
         Self {
             arena: Vec::new(),
-            parents: Vec::new(),
+            slots: Vec::new(),
             simple: Vec::new(),
         }
     }
 }
 
-/// Reusable planner state for one row-group worker: the extracted tile,
-/// the planner scratch, and the counters its lookups and plans accrue
-/// until [`BufferPool::drain_plan_stats`] folds them into the session.
+/// Reusable planner state for one row-group worker: the row group's flat
+/// tile keys, the tile extracted on a miss, the planner scratch, and the
+/// counters its lookups and plans accrue until
+/// [`BufferPool::drain_plan_stats`] folds them into the session.
 #[derive(Debug, Default)]
 pub(crate) struct PlanWorker {
+    pub(crate) keys: Vec<u64>,
     pub(crate) tile: SpikeMatrix,
     pub(crate) scratch: PlanScratch,
     pub(crate) stats: EngineStats,
@@ -69,23 +72,27 @@ impl<T: Copy + Default> BufferPool<T> {
                 s.arena.resize(tile_rows * n, T::default());
             }
             // Both are cleared and refilled per row-tile; only capacity counts.
-            for flags in [&mut s.parents, &mut s.simple] {
-                flags.clear();
-                flags.reserve(tile_rows);
-            }
+            s.slots.clear();
+            s.slots.reserve(tile_rows);
+            s.simple.clear();
+            s.simple.reserve(tile_rows);
         }
     }
 
-    /// Ensures `workers` pooled planner workers, each with an `m × k`
-    /// extraction tile.
-    pub(crate) fn reserve_plan(&self, workers: usize, m: usize, k: usize) {
+    /// Ensures `workers` pooled planner workers, each with an extraction
+    /// tile of `shape` and room for the keys of a row group of `tiles`
+    /// tiles.
+    pub(crate) fn reserve_plan(&self, workers: usize, shape: TileShape, tiles: usize) {
         let mut plan = lock(&self.plan);
         let len = plan.len().max(workers);
         plan.resize_with(len, PlanWorker::default);
         for w in plan.iter_mut() {
-            if (w.tile.rows(), w.tile.cols()) != (m, k) {
-                w.tile = SpikeMatrix::zeros(m, k);
+            if (w.tile.rows(), w.tile.cols()) != (shape.m, shape.k) {
+                w.tile = SpikeMatrix::zeros(shape.m, shape.k);
             }
+            // Cleared and refilled per row group; only capacity counts.
+            w.keys.clear();
+            w.keys.reserve(tiles * shape.key_limbs());
         }
     }
 }

@@ -4,11 +4,11 @@
 use std::sync::{Arc, OnceLock};
 
 use crate::exec::{execute_row_tile, TileExec};
-use crate::plan::{PlanScratch, TileMeta};
+use crate::plan::TileMeta;
 use spikemat::gemm::{OutputMatrix, WeightMatrix};
 use spikemat::{SpikeMatrix, TileShape};
 
-use super::cache::{hash_tile, Admission, InsertOutcome, PlanCache};
+use super::cache::{hash_limbs, Admission, InsertOutcome, PlanCache};
 use super::pool::{BufferPool, ExecScratch, PlanWorker};
 use super::shared::SharedPlanCache;
 use super::snapshot::{ImportReport, PlanSnapshot, SnapshotEntry};
@@ -141,7 +141,8 @@ struct ConcurrentPlanner<'a> {
 }
 
 impl Planner<'_> {
-    /// Resolves one extracted tile to a plan: cache hit, or plan-and-offer.
+    /// Resolves one tile to a plan from its flat key: cache hit, or
+    /// `fresh()` plans it and the plan is offered to the cache.
     ///
     /// Planning happens *outside* any lock (the shared cache takes its
     /// shard lock only inside `lookup`/`insert`), so concurrent sessions
@@ -150,29 +151,25 @@ impl Planner<'_> {
     /// planning is a pure function of the tile bits).
     fn resolve(
         &mut self,
-        tile: &SpikeMatrix,
-        scratch: &mut PlanScratch,
+        key: &[u64],
         stats: &mut EngineStats,
+        fresh: impl FnOnce() -> Arc<TileMeta>,
     ) -> Arc<TileMeta> {
-        let fresh = |scratch: &mut PlanScratch| {
-            let (meta, _) = TileMeta::build_with(tile, 0, 0, scratch);
-            Arc::new(meta)
-        };
         match self {
             Planner::Concurrent(ConcurrentPlanner { cache: None, .. }) => {
                 stats.cache_misses += 1;
-                fresh(scratch)
+                fresh()
             }
             Planner::Private(cache) => {
-                let hash = hash_tile(tile);
-                if let Some((meta, restored)) = cache.lookup(hash, tile) {
+                let hash = hash_limbs(key);
+                if let Some((meta, restored)) = cache.lookup(hash, key) {
                     stats.cache_hits += 1;
                     stats.restored_hits += u64::from(restored);
                     return meta;
                 }
                 stats.cache_misses += 1;
-                let meta = fresh(scratch);
-                match cache.insert(hash, tile, Arc::clone(&meta)) {
+                let meta = fresh();
+                match cache.insert(hash, key, Arc::clone(&meta)) {
                     InsertOutcome::Inserted => {}
                     InsertOutcome::Evicted => stats.cache_evictions += 1,
                     InsertOutcome::Bypassed => stats.cache_bypasses += 1,
@@ -184,14 +181,14 @@ impl Planner<'_> {
                 cache: Some(shared),
                 admission,
             }) => {
-                let hash = hash_tile(tile);
-                if let Some((meta, restored)) = shared.lookup(hash, tile, *admission) {
+                let hash = hash_limbs(key);
+                if let Some((meta, restored)) = shared.lookup(hash, key, *admission) {
                     stats.cache_hits += 1;
                     stats.restored_hits += u64::from(restored);
                     return meta;
                 }
                 stats.cache_misses += 1;
-                let (meta, outcome) = shared.insert(hash, tile, fresh(scratch), *admission);
+                let (meta, outcome) = shared.insert(hash, key, fresh(), *admission);
                 match outcome {
                     // Deduplicated: a racing session (or row group) won the
                     // insert; the resident plan is used and no admission
@@ -205,10 +202,13 @@ impl Planner<'_> {
         }
     }
 
-    /// Plans row group `ti` of `spikes`: extracts, hashes, looks up and on
-    /// a miss plans each of its tiles, writing them in place into `row`
-    /// (the group's `gk` slots). The one body both the one-worker loop and
-    /// the fanned-out pass run.
+    /// Plans row group `ti` of `spikes` into `row` (the group's `gk`
+    /// slots). One pass over the group's source rows writes every tile's
+    /// flat key; each key is hashed and resolved against the cache, and
+    /// only a miss extracts its tile as a sub-matrix for the planner. With
+    /// caching disabled no key is built. The one body both the one-worker
+    /// loop and the fanned-out pass run.
+    // analyze: hot-path
     fn plan_row_group(
         &mut self,
         spikes: &SpikeMatrix,
@@ -219,12 +219,31 @@ impl Planner<'_> {
     ) {
         let row_start = ti * shape.m;
         let valid_rows = (spikes.rows() - row_start).min(shape.m);
+        let PlanWorker {
+            keys,
+            tile,
+            scratch,
+            stats,
+        } = worker;
+        if matches!(
+            self,
+            Planner::Concurrent(ConcurrentPlanner { cache: None, .. })
+        ) {
+            keys.clear();
+        } else {
+            spikes.tile_keys_into(row_start, shape, row.len(), keys);
+        }
+        let key_len = shape.key_limbs();
         for (tj, placed) in row.iter_mut().enumerate() {
             let col_start = tj * shape.k;
-            spikes.submatrix_into(row_start, col_start, shape.m, shape.k, &mut worker.tile);
-            worker.stats.tiles += 1;
+            let key = keys.get(tj * key_len..(tj + 1) * key_len).unwrap_or(&[]);
+            stats.tiles += 1;
+            let meta = self.resolve(key, stats, || {
+                spikes.submatrix_into(row_start, col_start, shape.m, shape.k, tile);
+                Arc::new(TileMeta::build_with(tile, 0, 0, scratch).0)
+            });
             *placed = PlacedTile {
-                meta: self.resolve(&worker.tile, &mut worker.scratch, &mut worker.stats),
+                meta,
                 col_start,
                 valid_rows,
             };
@@ -530,6 +549,37 @@ impl<T: Element> Session<T> {
         }
     }
 
+    /// How many of `spikes`' first `probes` tiles (row-major) have a plan
+    /// resident in this session's shared cache, with keys extracted exactly
+    /// as planning extracts them; recency and admission are untouched
+    /// (the batch scheduler's affinity probe). Always 0 without a shared
+    /// cache.
+    pub(crate) fn resident_tiles(&self, spikes: &SpikeMatrix, probes: usize) -> usize {
+        let CacheSlot::Shared(shared) = &self.cache else {
+            return 0;
+        };
+        let shape = self.config.tile;
+        let (gm, gk) = shape.grid(spikes.rows(), spikes.cols());
+        let key_len = shape.key_limbs();
+        let mut worker = self.pool.take_plan();
+        let mut left = probes.min(gm * gk);
+        let mut resident = 0;
+        for ti in 0..gm {
+            if left == 0 {
+                break;
+            }
+            let tiles = left.min(gk);
+            spikes.tile_keys_into(ti * shape.m, shape, tiles, &mut worker.keys);
+            resident += worker
+                .keys
+                .chunks_exact(key_len)
+                .filter(|key| shared.peek(hash_limbs(key), key))
+                .count();
+            left -= tiles;
+        }
+        resident
+    }
+
     /// Plans one spike matrix through the tile cache, leaving the placed
     /// tiles in `self.tiles` (row-major).
     ///
@@ -574,7 +624,7 @@ impl<T: Element> Session<T> {
                     && worth_fanning_out(gm) =>
             {
                 use rayon::prelude::*;
-                pool.reserve_plan(rayon::current_num_threads(), shape.m, shape.k);
+                pool.reserve_plan(rayon::current_num_threads(), shape, gk);
                 #[cfg(any(test, feature = "fault-injection"))]
                 let faults = super::faults::snapshot();
                 self.tiles
@@ -853,7 +903,7 @@ impl<T: Element> Session<T> {
                     weights,
                     chunk,
                     &mut s.arena,
-                    &mut s.parents,
+                    &mut s.slots,
                     &mut s.simple,
                     n,
                 );

@@ -26,7 +26,7 @@
 //! surviving tenant, keep serving.
 
 use crate::plan::TileMeta;
-use spikemat::{SpikeMatrix, TileShape};
+use spikemat::TileShape;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -564,13 +564,13 @@ impl SharedPlanCache {
     pub(crate) fn lookup(
         &self,
         hash: u64,
-        tile: &SpikeMatrix,
+        key: &[u64],
         admission: Option<&Mutex<Admission>>,
     ) -> Option<(Arc<TileMeta>, bool)> {
         let found = {
             let mut shard = self.lock_shard(self.shard_of(hash));
             let held = std::time::Instant::now();
-            let found = shard.cache.lookup(hash, tile);
+            let found = shard.cache.lookup(hash, key);
             match &found {
                 Some((_, restored)) => {
                     shard.counters.hits += 1;
@@ -590,8 +590,8 @@ impl SharedPlanCache {
     }
 
     /// Lock-free-of-side-effects residency probe (affinity scheduling).
-    pub(crate) fn peek(&self, hash: u64, tile: &SpikeMatrix) -> bool {
-        self.lock_shard(self.shard_of(hash)).cache.peek(hash, tile)
+    pub(crate) fn peek(&self, hash: u64, key: &[u64]) -> bool {
+        self.lock_shard(self.shard_of(hash)).cache.peek(hash, key)
     }
 
     /// Offers a freshly planned tile; returns the plan to use plus the
@@ -603,7 +603,7 @@ impl SharedPlanCache {
     pub(crate) fn insert(
         &self,
         hash: u64,
-        tile: &SpikeMatrix,
+        key: &[u64],
         meta: Arc<TileMeta>,
         admission: Option<&Mutex<Admission>>,
     ) -> (Arc<TileMeta>, InsertOutcome) {
@@ -617,7 +617,7 @@ impl SharedPlanCache {
         // `lookup`, so this probe feeds neither hit/miss counters nor
         // admission; the race is recorded as its own outcome so the ledger
         // stays balanced (insertions + bypasses + dedups == misses).
-        let result = if let Some(resident) = shard.cache.get(hash, tile) {
+        let result = if let Some(resident) = shard.cache.get(hash, key) {
             shard.counters.dedups += 1;
             (resident, InsertOutcome::Deduplicated)
         // Tenant admission, consulted only for a real (non-dedup) offer.
@@ -627,7 +627,7 @@ impl SharedPlanCache {
             shard.counters.bypasses += 1;
             (meta, InsertOutcome::Bypassed)
         } else {
-            let outcome = shard.cache.insert(hash, tile, Arc::clone(&meta));
+            let outcome = shard.cache.insert(hash, key, Arc::clone(&meta));
             match outcome {
                 InsertOutcome::Inserted => shard.counters.insertions += 1,
                 InsertOutcome::Evicted => {

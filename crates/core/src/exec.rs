@@ -12,10 +12,15 @@
 //!
 //! The kernel is built for speed:
 //!
-//! * Tile-local partials live in one flat arena of `tile_rows × n` elements
-//!   per row-tile, indexed by row offset — no per-row heap allocation inside
-//!   the tile loop. Prefix loads are a single `copy_within`; weight rows are
-//!   accumulated with a tight slice loop the compiler can autovectorize.
+//! * Only rows another row loads as its prefix keep a tile-local partial,
+//!   in one flat arena reused across tiles — no per-row heap allocation
+//!   inside the tile loop. A prefix row whose pattern is empty (an exact
+//!   match of its own prefix) *aliases* its prefix's partial instead of
+//!   copying it, so only prefix rows that add weight rows, or have no
+//!   prefix, get an arena slot. Slots are numbered in execution order, so
+//!   the arena a tile touches is just the partials it actually builds.
+//!   Weight rows are accumulated with a tight slice loop the compiler can
+//!   autovectorize.
 //! * Row-tiles own disjoint output rows, so with the `parallel` feature
 //!   (default) they execute across threads over disjoint `&mut` chunks of the
 //!   output; the `k`-tiles of one row group fold sequentially into that
@@ -91,14 +96,14 @@ pub fn execute_plan<T: Copy + Default + AddAssign + Send + Sync + 'static>(
         .enumerate()
         .for_each(|(ti, chunk)| {
             let mut arena = Vec::new();
-            let mut parents = Vec::new();
+            let mut slots = Vec::new();
             let mut simple = Vec::new();
             execute_row_tile(
                 &tiles[ti * gk..(ti + 1) * gk],
                 weights,
                 chunk,
                 &mut arena,
-                &mut parents,
+                &mut slots,
                 &mut simple,
                 n,
             );
@@ -141,7 +146,7 @@ pub fn execute_plan_serial<T: Copy + Default + AddAssign + 'static>(
     let chunk_elems = plan.shape().m * n;
     let tiles = plan.tiles();
     let mut arena = Vec::new();
-    let mut parents = Vec::new();
+    let mut slots = Vec::new();
     let mut simple = Vec::new();
     for (ti, chunk) in out.as_mut_slice().chunks_mut(chunk_elems).enumerate() {
         execute_row_tile(
@@ -149,7 +154,7 @@ pub fn execute_plan_serial<T: Copy + Default + AddAssign + 'static>(
             weights,
             chunk,
             &mut arena,
-            &mut parents,
+            &mut slots,
             &mut simple,
             n,
         );
@@ -211,6 +216,13 @@ impl TileExec for TileMeta {
     }
 }
 
+/// [`execute_row_tile`] slot marker: no row of the tile loads this row as
+/// its prefix.
+const LEAF: u32 = u32::MAX;
+
+/// [`execute_row_tile`] slot marker: a prefix row not yet executed.
+const UNBUILT: u32 = u32::MAX - 1;
+
 /// Executes the `k`-tiles of one row group into its output chunk.
 ///
 /// `out_chunk` holds the group's `valid_rows × n` output elements; the
@@ -221,22 +233,34 @@ impl TileExec for TileMeta {
 ///
 /// * **Simple** rows — no prefix in any `k`-tile and never loaded as a
 ///   prefix by another row. They are independent pure accumulations, so each
-///   one is processed exactly once, streaming the pattern bits of *all* its
-///   `k`-tiles through one register-batched pass straight into the global
-///   output row. On weakly correlated data this is nearly every row.
-/// * **Dependent** rows (prefix holders and their parents) go through the
-///   classic tile-major dataflow: parents materialize their tile-local
-///   partial in the flat `arena` (Step 9's prefix load source), dependents
-///   start from it, and results fold into the output (Step 12).
+///   one is processed exactly once, accumulating the weight rows selected by
+///   the patterns of *all* its `k`-tiles straight into the global output
+///   row. On weakly correlated data this is nearly every row.
+/// * **Dependent** rows (prefix holders and their prefixes) run tile by
+///   tile in the Dispatcher's topological order. A prefix row's tile-local
+///   partial (Step 9's prefix load source) lives in an arena *slot*, which
+///   `slots` records per row. A prefix row with a prefix and an all-zero
+///   pattern reuses its prefix's slot; any other prefix row takes the next
+///   free slot, seeded from its prefix's partial (or zero) plus its pattern.
+///   Rows no one loads start from their prefix's slot straight in the
+///   output row. Every valid row then folds into the output (Step 12).
+///
+/// Aliasing is decided from the pattern alone, not from
+/// [`RowMeta::kind`](crate::plan::RowMeta), so a field the executor does
+/// not need cannot change its output.
+// analyze: hot-path
 pub(crate) fn execute_row_tile<T: Copy + Default + AddAssign + 'static, V: TileExec>(
     k_tiles: &[V],
     weights: &WeightMatrix<T>,
     out_chunk: &mut [T],
     arena: &mut Vec<T>,
-    parents: &mut Vec<bool>,
+    slots: &mut Vec<u32>,
     simple: &mut Vec<bool>,
     n: usize,
 ) {
+    if n == 0 {
+        return;
+    }
     let wrows = weights.rows();
     let wdata = weights.as_slice();
     let tile_rows = k_tiles
@@ -251,69 +275,80 @@ pub(crate) fn execute_row_tile<T: Copy + Default + AddAssign + 'static, V: TileE
     for tile in k_tiles {
         for (r, meta) in tile.meta().rows.iter().enumerate() {
             if let Some(p) = meta.prefix {
-                simple[r] = false;
-                simple[p] = false;
+                for i in [r, p] {
+                    if let Some(flag) = simple.get_mut(i) {
+                        *flag = false;
+                    }
+                }
             }
         }
     }
 
     // Fast path: one pass per simple row over all its k-tiles' patterns.
-    for r in 0..valid_rows {
-        if simple[r] {
-            accumulate_row_all_tiles(
-                &mut out_chunk[r * n..(r + 1) * n],
-                k_tiles,
-                r,
-                wdata,
-                wrows,
-                n,
-            );
+    let rows = out_chunk.chunks_exact_mut(n).zip(simple.iter());
+    for (r, (out_row, &is_simple)) in rows.enumerate().take(valid_rows) {
+        if is_simple {
+            accumulate_row_all_tiles(out_row, k_tiles, r, wdata, wrows, n);
         }
     }
 
     // Dependent rows: tile-major, in the Dispatcher's topological order.
+    if arena.len() < tile_rows * n {
+        arena.resize(tile_rows * n, T::default());
+    }
     for tile in k_tiles {
         let (meta, col_start, tile_valid) = (tile.meta(), tile.col_start(), tile.valid_rows());
-        if arena.len() < tile_rows * n {
-            arena.resize(tile_rows * n, T::default());
-        }
-        parents.clear();
-        parents.resize(tile_rows, false);
+        slots.clear();
+        slots.resize(tile_rows, LEAF);
         for row in &meta.rows {
-            if let Some(p) = row.prefix {
-                parents[p] = true;
+            if let Some(slot) = row.prefix.and_then(|p| slots.get_mut(p)) {
+                *slot = UNBUILT;
             }
         }
         let wpr = meta.pattern_words();
+        let mut built = 0usize;
         for &r in &meta.order {
-            if simple[r] {
+            if simple.get(r).copied().unwrap_or(true) {
                 continue;
             }
-            let row = &meta.rows[r];
-            let pattern = &meta.pattern_limbs[r * wpr..(r + 1) * wpr];
-            if parents[r] {
-                // Step 9: seed the tile-local partial from the prefix's
-                // (already computed — the order is topological), or zero.
-                match row.prefix {
-                    Some(p) => arena.copy_within(p * n..(p + 1) * n, r * n),
-                    None => arena[r * n..(r + 1) * n].fill(T::default()),
-                }
-                let acc = &mut arena[r * n..(r + 1) * n];
-                accumulate_pattern(acc, pattern, col_start, wdata, wrows, n);
-                // Step 12 for parents: fold into the global row immediately.
-                if r < tile_valid {
-                    let local = &arena[r * n..(r + 1) * n];
-                    add_assign_slice(&mut out_chunk[r * n..(r + 1) * n], local);
-                }
+            let (Some(row), Some(pattern)) = (
+                meta.rows.get(r),
+                meta.pattern_limbs.get(r * wpr..(r + 1) * wpr),
+            ) else {
+                continue; // the planner sizes both per row
+            };
+            // The order is topological, so the prefix's slot is assigned.
+            let prefix = row.prefix.and_then(|p| slots.get(p).copied());
+            let out_row = if r < tile_valid {
+                out_chunk.get_mut(r * n..(r + 1) * n)
             } else {
-                if r >= tile_valid {
-                    continue; // padding row nobody depends on
+                None // padding row: only its partial matters
+            };
+            if slots.get(r) == Some(&UNBUILT) {
+                let slot = match prefix {
+                    // Exact match: the prefix's partial *is* this row's.
+                    Some(p) if pattern.iter().all(|&w| w == 0) => p,
+                    _ => {
+                        let slot = built;
+                        built += 1;
+                        if let Some(acc) = seed_slot(arena, slot, prefix, n) {
+                            accumulate_pattern(acc, pattern, col_start, wdata, wrows, n);
+                        }
+                        slot as u32
+                    }
+                };
+                if let Some(s) = slots.get_mut(r) {
+                    *s = slot;
                 }
+                // Step 12 for prefix rows: fold into the global row now.
+                if let (Some(out_row), Some(local)) = (out_row, slot_of(arena, slot, n)) {
+                    add_assign_slice(out_row, local);
+                }
+            } else if let Some(out_row) = out_row {
                 // Steps 9–12 fused: accumulate prefix partial and weight
                 // rows straight into the global output row.
-                let out_row = &mut out_chunk[r * n..(r + 1) * n];
-                if let Some(p) = row.prefix {
-                    add_assign_slice(out_row, &arena[p * n..(p + 1) * n]);
+                if let Some(local) = prefix.and_then(|p| slot_of(arena, p, n)) {
+                    add_assign_slice(out_row, local);
                 }
                 accumulate_pattern(out_row, pattern, col_start, wdata, wrows, n);
             }
@@ -321,8 +356,35 @@ pub(crate) fn execute_row_tile<T: Copy + Default + AddAssign + 'static, V: TileE
     }
 }
 
-/// Streams the pattern bits of every `k`-tile of row `r` through one
-/// accumulation pass into `acc` (the simple-row fast path).
+/// Arena slot `slot`'s partial, if the slot lies inside the arena.
+// analyze: hot-path
+#[inline]
+fn slot_of<T>(arena: &[T], slot: u32, n: usize) -> Option<&[T]> {
+    let at = slot as usize * n;
+    arena.get(at..at + n)
+}
+
+/// Step 9: seeds fresh slot `slot` with the partial in slot `prefix` (an
+/// earlier slot), or with zeros when the row has no prefix. Returns the
+/// seeded slot to accumulate into.
+// analyze: hot-path
+#[inline]
+fn seed_slot<T: Copy + Default>(
+    arena: &mut [T],
+    slot: usize,
+    prefix: Option<u32>,
+    n: usize,
+) -> Option<&mut [T]> {
+    let (earlier, acc) = arena.get_mut(..(slot + 1) * n)?.split_at_mut(slot * n);
+    match prefix.and_then(|p| slot_of(earlier, p, n)) {
+        Some(partial) => acc.copy_from_slice(partial),
+        None => acc.fill(T::default()),
+    }
+    Some(acc)
+}
+
+/// Accumulates the weight rows selected by row `r`'s pattern in every
+/// `k`-tile into `acc` (the simple-row fast path).
 // analyze: hot-path
 #[inline]
 fn accumulate_row_all_tiles<T: Copy + Default + AddAssign + 'static, V: TileExec>(
@@ -689,6 +751,121 @@ mod tests {
                 "trial {trial}"
             );
         }
+    }
+
+    /// Spike matrices built to stress prefix aliasing in the executor,
+    /// under 256 × 16 tiles (K = 40, so the last column tile is short):
+    ///
+    /// * row group 0: per block of 8 rows, four identical rows (an
+    ///   exact-of-exact chain three links deep), two partial rows on top of
+    ///   them, another exact row, and a subset row;
+    /// * row group 1: 256 identical rows;
+    /// * row group 2: 90 valid rows, every third one empty, so the
+    ///   duplicated padding rows chain onto valid empty rows.
+    fn aliasing_cases(rng: &mut rand::rngs::StdRng) -> SpikeMatrix {
+        use rand::Rng;
+        let (k, m) = (40, 256);
+        let mut s = SpikeMatrix::zeros(2 * m + 90, k);
+        fn set_row(s: &mut SpikeMatrix, r: usize, bits: &[usize]) {
+            for &c in bits {
+                s.set(r, c, true);
+            }
+        }
+        for block in 0..m / 8 {
+            let base: Vec<usize> = (0..k).filter(|_| rng.gen_bool(0.3)).collect();
+            let r0 = block * 8;
+            for r in r0..r0 + 4 {
+                set_row(&mut s, r, &base);
+            }
+            let extra = rng.gen_range(0..k);
+            set_row(&mut s, r0 + 4, &base);
+            set_row(&mut s, r0 + 4, &[extra]);
+            set_row(&mut s, r0 + 5, &base);
+            set_row(&mut s, r0 + 5, &[extra, (extra + 7) % k]);
+            set_row(&mut s, r0 + 6, &base);
+            let half: Vec<usize> = base.iter().copied().step_by(2).collect();
+            set_row(&mut s, r0 + 7, &half);
+        }
+        let same: Vec<usize> = (0..k).filter(|_| rng.gen_bool(0.4)).collect();
+        for r in m..2 * m {
+            set_row(&mut s, r, &same);
+        }
+        for r in 2 * m..s.rows() {
+            if r % 3 != 0 {
+                let bits: Vec<usize> = (0..k).filter(|_| rng.gen_bool(0.2)).collect();
+                set_row(&mut s, r, &bits);
+            }
+        }
+        s
+    }
+
+    /// Longest run of exact matches chained onto exact matches in `plan`.
+    fn longest_exact_chain(plan: &ProSparsityPlan) -> usize {
+        use crate::prune::MatchKind;
+        let mut longest = 0;
+        for tile in plan.tiles() {
+            for r in 0..tile.rows.len() {
+                let (mut row, mut depth) = (r, 0);
+                while tile.rows[row].kind == MatchKind::Exact {
+                    depth += 1;
+                    match tile.rows[row].prefix {
+                        Some(p) => row = p,
+                        None => break,
+                    }
+                }
+                longest = longest.max(depth);
+            }
+        }
+        longest
+    }
+
+    fn aliasing_case_is_lossless<T>(s: &SpikeMatrix, w: &WeightMatrix<T>)
+    where
+        T: crate::engine::Element + std::fmt::Debug + PartialEq,
+    {
+        let shape = TileShape::new(256, 16);
+        let want = spiking_gemm(s, w);
+        let plan = ProSparsityPlan::build_tiled(s, shape);
+        assert_eq!(execute_plan_serial(&plan, w), want, "serial executor");
+        let config = crate::engine::EngineConfig {
+            tile: shape,
+            ..crate::engine::EngineConfig::default()
+        };
+        let mut session = crate::engine::Session::<T>::new(config);
+        let mut out = OutputMatrix::zeros(0, 0);
+        session.gemm_into_serial(s, w, &mut out);
+        assert_eq!(out, want, "serial session");
+        #[cfg(feature = "parallel")]
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(2)
+            .build()
+            .expect("two-thread pool")
+            .install(|| {
+                assert_eq!(execute_plan(&plan, w), want, "pooled executor");
+                // Cold, then warm: the second call serves cached plans.
+                for pass in 0..2 {
+                    session.gemm_into(s, w, &mut out);
+                    assert_eq!(out, want, "pooled session, pass {pass}");
+                }
+            });
+    }
+
+    #[test]
+    fn exact_match_aliasing_is_lossless_serial_and_pooled() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0xA11A5);
+        let s = aliasing_cases(&mut rng);
+        assert!(
+            longest_exact_chain(&ProSparsityPlan::build_tiled(&s, TileShape::new(256, 16))) >= 3,
+            "the cases must hold exact-of-exact chains"
+        );
+        // n = 16 makes each row-tile 256 · 40 · 16 MACs, enough for the
+        // session to fan its row-tiles out over the pool.
+        let w64 = WeightMatrix::from_fn(40, 16, |_, _| rng.gen_range(-1000i64..1000));
+        let w32 = WeightMatrix::from_fn(40, 16, |_, _| rng.gen_range(-1000i32..1000));
+        aliasing_case_is_lossless(&s, &w64);
+        aliasing_case_is_lossless(&s, &w32);
     }
 
     #[test]

@@ -2,6 +2,7 @@
 
 use crate::bitrow::BitRow;
 use crate::tile::{TileIter, TileShape};
+use crate::LIMB_BITS;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -164,6 +165,58 @@ impl SpikeMatrix {
                 self.rows[row_start + r].slice_into(col_start, dst);
             } else {
                 dst.clear();
+            }
+        }
+    }
+
+    /// Writes the flat keys of the first `tiles` tiles of the row group
+    /// starting at `row_start` into `keys`, one [`TileShape::key_limbs`]
+    /// run per tile, in tile-column order.
+    ///
+    /// A tile's key is its zero-padded row-major limbs: exactly the
+    /// concatenated [`BitRow::limbs`] of
+    /// `submatrix(row_start, tj * shape.k, shape.m, shape.k)`. All keys come
+    /// from one pass over the group's source rows, so a row group's tiles
+    /// can be hashed and compared without building a single sub-matrix.
+    /// `keys` is resized in place; a reused buffer makes this
+    /// allocation-free.
+    // analyze: hot-path
+    pub fn tile_keys_into(
+        &self,
+        row_start: usize,
+        shape: TileShape,
+        tiles: usize,
+        keys: &mut Vec<u64>,
+    ) {
+        let wpr = shape.k.div_ceil(LIMB_BITS);
+        let key_len = shape.m * wpr;
+        keys.clear();
+        keys.resize(tiles * key_len, 0);
+        let tail = shape.k % LIMB_BITS;
+        let tail_mask = if tail == 0 { u64::MAX } else { (1 << tail) - 1 };
+        let rows = self.rows.iter().skip(row_start).take(shape.m);
+        for (r, src) in rows.enumerate() {
+            let src = src.limbs();
+            for tj in 0..tiles {
+                let at = tj * key_len + r * wpr;
+                let Some(dst) = keys.get_mut(at..at + wpr) else {
+                    continue; // `keys` holds `tiles` whole keys
+                };
+                let col_start = tj * shape.k;
+                for (w, limb) in dst.iter_mut().enumerate() {
+                    let bit = col_start + w * LIMB_BITS;
+                    let (word, shift) = (bit / LIMB_BITS, bit % LIMB_BITS);
+                    let lo = src.get(word).copied().unwrap_or(0) >> shift;
+                    let hi = if shift == 0 {
+                        0
+                    } else {
+                        src.get(word + 1).copied().unwrap_or(0) << (LIMB_BITS - shift)
+                    };
+                    *limb = lo | hi;
+                }
+                if let Some(last) = dst.last_mut() {
+                    *last &= tail_mask;
+                }
             }
         }
     }

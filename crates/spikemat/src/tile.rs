@@ -35,6 +35,12 @@ impl TileShape {
     pub fn grid(&self, rows: usize, cols: usize) -> (usize, usize) {
         (rows.div_ceil(self.m), cols.div_ceil(self.k))
     }
+
+    /// Limbs in one tile's flat key: `m` rows of `⌈k / 64⌉` limbs each
+    /// (see [`SpikeMatrix::tile_keys_into`]).
+    pub fn key_limbs(&self) -> usize {
+        self.m * self.k.div_ceil(crate::LIMB_BITS)
+    }
 }
 
 /// One zero-padded spike tile plus its position in the source matrix.

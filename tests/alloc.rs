@@ -194,6 +194,26 @@ fn steady_state_serving_hot_path_is_allocation_free() {
     assert_eq!(got, want, "scheduled outputs stayed exact while counted");
     assert!(sched.quarantined().is_empty());
 
+    // --- The same warm run under `CacheAffinity`: its residency probe
+    // extracts tile keys into a pooled planner buffer, never a fresh one.
+    let mut sched = BatchScheduler::<i64>::new(shared_config, BatchPolicy::CacheAffinity);
+    for _ in 0..2 {
+        sched.run(&traces, |lane, step, out| {
+            got[lane * 4 + step] = checksum(out)
+        });
+    }
+    got.fill(0);
+    let affinity_allocs = count_allocs(|| {
+        sched.run(&traces, |lane, step, out| {
+            got[lane * 4 + step] = checksum(out)
+        });
+    });
+    assert_eq!(
+        affinity_allocs, 0,
+        "a warm cache-affinity scheduler run must not allocate"
+    );
+    assert_eq!(got, want, "affinity-scheduled outputs stayed exact");
+
     // --- Snapshot encode steady state: `encode_into` reuses the caller's
     // buffer, so a warm buffer encodes the working set allocation-free.
     let snapshot = engine.export_snapshot(256);
